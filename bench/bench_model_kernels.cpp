@@ -12,6 +12,7 @@
 #include "comm/runtime.hpp"
 #include "core/advection.hpp"
 #include "core/dynamics.hpp"
+#include "core/forcing.hpp"
 #include "core/model.hpp"
 #include "core/tracer.hpp"
 #include "kxx/kxx.hpp"
@@ -148,6 +149,38 @@ static void BM_DynChainFusedPacked(benchmark::State& state) {
   state.counters["pack"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_DynChainFusedPacked)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+
+// --- Pack ablation of the tracer limiter and the column solvers -----------
+//
+// The FCT limiter chain (both tracers through advect_tracer_pair: low-order
+// pair, anti-diffusive fluxes, adv_r_factors, adv_correct) followed by the
+// fused t+s tracer column and the bclinc column, at pack width 1 (the scalar
+// pack_op<1> bodies) and 8 (i-lanes). Bit-identical outputs
+// (tests/test_advection.cpp, tests/test_dynamics.cpp); ci/check_pack_fusion.py
+// gates the /1 over /8 ratio so a silent lowering of the packed limiter or
+// column kernels to lane-scalar code fails CI.
+static void BM_TracerLimiterColumns(benchmark::State& state) {
+  ModelHolder h(8, 12, kxx::Backend::Serial);
+  auto& m = *h.model;
+  auto& s = m.state();
+  const auto& g = m.local_grid();
+  lc::AdvectionWorkspace ws(g);
+  lc::TracerAdvScratch scratch(g);
+  const auto sw = lc::shortwave_fraction_table(g.vertical().interfaces());
+  licomk::halo::BlockField2D ubar("ubar_avg", g.extent());
+  licomk::halo::BlockField2D vbar("vbar_avg", g.extent());
+  lc::compute_volume_fluxes(g, s.u_cur, s.v_cur, ws);
+  kxx::set_pack_size(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    lc::advect_tracer_pair(g, m.config().grid.dt_tracer, s.t_cur, s.s_cur, ws, scratch,
+                           m.exchanger(), s.t_new, s.s_new, /*fuse_low_order=*/true);
+    lc::tracer_columns(g, m.config(), s, sw, 0.0);
+    lc::baroclinic_update(g, m.config(), s, ubar, vbar);
+  }
+  kxx::set_pack_size(LICOMK_PACK_SIZE);
+  state.counters["pack"] = static_cast<double>(state.range(0));
+}
+BENCHMARK(BM_TracerLimiterColumns)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
 
 // Pack-vs-scalar on the fused tracer-hdiff pair path: full step at pack
 // width 1 vs the compiled width, fusion on in both.

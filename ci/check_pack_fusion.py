@@ -1,20 +1,27 @@
 #!/usr/bin/env python3
-"""Pack/fusion gate: the fused+packed dynamics chain must beat scalar-unfused.
+"""Pack/fusion gate: the packed kernels must beat their scalar forms.
 
 Reads one Google Benchmark JSON file (the perf-smoke run) and compares the
-three ablation legs bench_model_kernels exports:
+ablation legs bench_model_kernels exports:
 
   BM_DynChainScalarUnfused   — density, pressure, tendencies, 2x vertical_mean
                                at pack width 1 (the pre-pack code path)
   BM_DynChainFusedScalar     — fused rho+p / tendency+means at pack width 1
                                (fusion-only win)
   BM_DynChainFusedPacked/8   — fused chain at pack width 8 (fusion + SIMD)
+  BM_TracerLimiterColumns/1  — FCT limiter chain for t and s, the fused t+s
+                               tracer column and the bclinc column at pack
+                               width 1 (their scalar pack_op<1> bodies)
+  BM_TracerLimiterColumns/8  — the same at pack width 8 (i-lanes)
 
 Fails (exit 1) when fused+packed/8 is not at least --min-speedup faster than
-scalar-unfused. The default of 1.05 is deliberately loose for a smoke-sized
-grid (the chain is partly memory-bound and the smoke domain fits in cache);
-it exists to catch the packed path silently lowering to scalar-per-lane or a
-fusion regression, not to certify the paper's full-resolution speedups.
+scalar-unfused, or the packed tracer leg is not at least --min-speedup faster
+than its width-1 leg. The default of 1.05 is deliberately loose for a
+smoke-sized grid (the chains are partly memory-bound and the smoke domain
+fits in cache); it exists to catch a packed path silently lowering to
+scalar-per-lane code (a select or min/max the compiler leaves lane-scalar
+made the packed limiter slower than scalar once) or a fusion regression, not
+to certify the paper's full-resolution speedups.
 
 Exit 2 with a diagnostic when a leg is missing or the file is not benchmark
 JSON (same contract as ci/check_perf.py).
@@ -26,6 +33,8 @@ import sys
 _SCALAR = "BM_DynChainScalarUnfused"
 _FUSED = "BM_DynChainFusedScalar"
 _PACKED = "BM_DynChainFusedPacked/8"
+_TRC_SCALAR = "BM_TracerLimiterColumns/1"
+_TRC_PACKED = "BM_TracerLimiterColumns/8"
 
 
 def load_times(path):
@@ -46,8 +55,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("bench_json", help="Google Benchmark JSON of the smoke run")
     ap.add_argument("--min-speedup", type=float, default=1.05,
-                    help="fail when scalar-unfused/packed-fused is below this "
-                         "(default 1.05)")
+                    help="fail when scalar-unfused/packed-fused (or the tracer "
+                         "leg's width-1/width-8 ratio) is below this (default 1.05)")
     args = ap.parse_args()
 
     try:
@@ -56,7 +65,8 @@ def main():
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    missing = [n for n in (_SCALAR, _FUSED, _PACKED) if n not in times]
+    missing = [n for n in (_SCALAR, _FUSED, _PACKED, _TRC_SCALAR, _TRC_PACKED)
+               if n not in times]
     if missing:
         for n in missing:
             print(f"error: {args.bench_json}: ablation leg '{n}' missing "
@@ -65,21 +75,35 @@ def main():
         return 2
 
     scalar, fused, packed = times[_SCALAR], times[_FUSED], times[_PACKED]
-    if packed <= 0:
-        print(f"error: {_PACKED} reported nonpositive time {packed}", file=sys.stderr)
-        return 2
+    trc_scalar, trc_packed = times[_TRC_SCALAR], times[_TRC_PACKED]
+    for name, t in ((_PACKED, packed), (_TRC_PACKED, trc_packed)):
+        if t <= 0:
+            print(f"error: {name} reported nonpositive time {t}", file=sys.stderr)
+            return 2
 
     speedup = scalar / packed
+    trc_speedup = trc_scalar / trc_packed
     print(f"{_SCALAR:<32} {scalar:10.4f}")
     print(f"{_FUSED:<32} {fused:10.4f}  ({scalar / fused:.2f}x vs scalar)")
     print(f"{_PACKED:<32} {packed:10.4f}  ({speedup:.2f}x vs scalar)")
+    print(f"{_TRC_SCALAR:<32} {trc_scalar:10.4f}")
+    print(f"{_TRC_PACKED:<32} {trc_packed:10.4f}  ({trc_speedup:.2f}x vs width 1)")
 
+    failed = False
     if speedup < args.min_speedup:
         print(f"\npack/fusion gate FAILED: fused+packed is only {speedup:.2f}x "
               f"the scalar-unfused chain (need >= {args.min_speedup}x)",
               file=sys.stderr)
+        failed = True
+    if trc_speedup < args.min_speedup:
+        print(f"\npack/fusion gate FAILED: the packed tracer limiter + columns leg "
+              f"is only {trc_speedup:.2f}x its width-1 leg (need >= "
+              f"{args.min_speedup}x)", file=sys.stderr)
+        failed = True
+    if failed:
         return 1
-    print(f"\npack/fusion gate passed: {speedup:.2f}x >= {args.min_speedup}x")
+    print(f"\npack/fusion gate passed: {speedup:.2f}x and {trc_speedup:.2f}x "
+          f">= {args.min_speedup}x")
     return 0
 
 

@@ -329,87 +329,185 @@ struct AntiDiffTop {
 };
 
 /// Stage 3 (after the q_td halo update): Zalesak limiter factors per cell.
+///
+/// Packed across i. Lane masks are int[N] and every select/min/max is a
+/// kxx::select/min/max lane loop in straight-line code: the same chain built
+/// from Mask<N> blends through outlined lambdas lowers to scalar vminsd per
+/// lane and runs slower than the scalar kernel (DESIGN.md §12.1). kxx::min/
+/// max follow std::min/std::max exactly, and std::max({a, b, c}) folds left
+/// as max(max(a, b), c), so each lane is bit-identical to the scalar std::
+/// expressions. The scalar body is pack_op<1> (AthreadSim, pack width 1,
+/// partial i-tails).
 struct RFactors {
   Geo g;
   CF3 q, qtd, ae, an, at;
   F3 rp, rm;
   double dt;
+
   void operator()(long long k, long long j, long long i) const {
-    if (!g.active(k, j, i)) {
-      rp(k, j, i) = 0.0;
-      rm(k, j, i) = 0.0;
+    pack_op<1>(k, j, i, kxx::Mask<1>::all_true());
+  }
+
+  template <int N>
+  void pack_op(long long k, long long j, long long i0, const kxx::Mask<N>& tail) const {
+    using P = kxx::Pack<double, N>;
+    if constexpr (N > 1) {
+      if (!tail.all()) {
+        for (int l = 0; l < N; ++l)
+          if (tail[l]) pack_op<1>(k, j, i0 + l, kxx::Mask<1>::all_true());
+        return;
+      }
+    }
+    // Activity of the cell and of each neighbor the extrema consider. The
+    // planes above the surface and below the last level are plane-uniform
+    // (k is the same in every lane) and skipped outright.
+    int act[N], m_w[N], m_e[N], m_s[N], m_n[N], m_up[N], m_dn[N];
+    int any = 0;
+    for (int l = 0; l < N; ++l) {
+      const long long i = i0 + l;
+      const int kc = g.kmt(j, i);
+      act[l] = k < kc;
+      m_w[l] = k < g.kmt(j, i - 1);
+      m_e[l] = k < g.kmt(j, i + 1);
+      m_s[l] = k < g.kmt(j - 1, i);
+      m_n[l] = k < g.kmt(j + 1, i);
+      m_up[l] = k - 1 < kc;
+      m_dn[l] = k + 1 < kc;
+      any |= act[l];
+    }
+    const P zero(0.0);
+    if (!any) {
+      kxx::pack_store<N>(rp.ptr(k, j, i0), zero);
+      kxx::pack_store<N>(rm.ptr(k, j, i0), zero);
       return;
     }
-    double qmax = std::max(q(k, j, i), qtd(k, j, i));
-    double qmin = std::min(q(k, j, i), qtd(k, j, i));
-    auto consider = [&](long long kk, long long jj, long long ii) {
-      if (kk >= 0 && kk < g.nz && g.active(kk, jj, ii)) {
-        qmax = std::max({qmax, q(kk, jj, ii), qtd(kk, jj, ii)});
-        qmin = std::min({qmin, q(kk, jj, ii), qtd(kk, jj, ii)});
-      }
+    const P q_c = kxx::pack_load<N>(q.ptr(k, j, i0));
+    const P t_c = kxx::pack_load<N>(qtd.ptr(k, j, i0));
+    P qmax = kxx::max(q_c, t_c);
+    P qmin = kxx::min(q_c, t_c);
+    // Straight-line calls, forced inline: left to itself GCC outlines a
+    // lambda this size (or keeps a loop over a neighbor table rolled) and
+    // then lowers the packs to scalar lanes spilled through memory.
+    auto consider = [&](const int(&m)[N], const double* qp, const double* tp)
+                        __attribute__((always_inline)) {
+      const P qn = kxx::pack_load<N>(qp);
+      const P tn = kxx::pack_load<N>(tp);
+      qmax = kxx::select(m, kxx::max(kxx::max(qmax, qn), tn), qmax);
+      qmin = kxx::select(m, kxx::min(kxx::min(qmin, qn), tn), qmin);
     };
-    consider(k, j, i - 1);
-    consider(k, j, i + 1);
-    consider(k, j - 1, i);
-    consider(k, j + 1, i);
-    consider(k - 1, j, i);
-    consider(k + 1, j, i);
+    consider(m_w, q.ptr(k, j, i0 - 1), qtd.ptr(k, j, i0 - 1));
+    consider(m_e, q.ptr(k, j, i0 + 1), qtd.ptr(k, j, i0 + 1));
+    consider(m_s, q.ptr(k, j - 1, i0), qtd.ptr(k, j - 1, i0));
+    consider(m_n, q.ptr(k, j + 1, i0), qtd.ptr(k, j + 1, i0));
+    if (k > 0) consider(m_up, q.ptr(k - 1, j, i0), qtd.ptr(k - 1, j, i0));
+    if (k + 1 < g.nz) consider(m_dn, q.ptr(k + 1, j, i0), qtd.ptr(k + 1, j, i0));
 
     // Incoming (P+) and outgoing (P-) anti-diffusive mass for this cell.
-    double a_e = ae(k, j, i);              // out east (if > 0)
-    double a_w = ae(k, j, i - 1);          // in from west (if > 0)
-    double a_n = an(k, j, i);              // out north
-    double a_s = an(k, j - 1, i);          // in from south
-    double a_t_face = at(k, j, i);         // out the top (if > 0)
-    double a_b = k + 1 < g.nz ? at(k + 1, j, i) : 0.0;  // in from below (if > 0)
-    double p_plus = dt * (std::max(a_w, 0.0) - std::min(a_e, 0.0) + std::max(a_s, 0.0) -
-                          std::min(a_n, 0.0) + std::max(a_b, 0.0) - std::min(a_t_face, 0.0));
-    double p_minus = dt * (std::max(a_e, 0.0) - std::min(a_w, 0.0) + std::max(a_n, 0.0) -
-                           std::min(a_s, 0.0) + std::max(a_t_face, 0.0) - std::min(a_b, 0.0));
-    double vol = g.area(j, i) * g.dz[k];
-    double q_plus = (qmax - qtd(k, j, i)) * vol;
-    double q_minus = (qtd(k, j, i) - qmin) * vol;
-    rp(k, j, i) = p_plus > 0.0 ? std::min(1.0, q_plus / p_plus) : 0.0;
-    rm(k, j, i) = p_minus > 0.0 ? std::min(1.0, q_minus / p_minus) : 0.0;
+    const P a_e = kxx::pack_load<N>(ae.ptr(k, j, i0));      // out east (if > 0)
+    const P a_w = kxx::pack_load<N>(ae.ptr(k, j, i0 - 1));  // in from west (if > 0)
+    const P a_n = kxx::pack_load<N>(an.ptr(k, j, i0));      // out north
+    const P a_s = kxx::pack_load<N>(an.ptr(k, j - 1, i0));  // in from south
+    const P a_t = kxx::pack_load<N>(at.ptr(k, j, i0));      // out the top (if > 0)
+    const P a_b = k + 1 < g.nz ? kxx::pack_load<N>(at.ptr(k + 1, j, i0)) : zero;  // in from below
+    const P p_plus = dt * (kxx::max(a_w, zero) - kxx::min(a_e, zero) + kxx::max(a_s, zero) -
+                           kxx::min(a_n, zero) + kxx::max(a_b, zero) - kxx::min(a_t, zero));
+    const P p_minus = dt * (kxx::max(a_e, zero) - kxx::min(a_w, zero) + kxx::max(a_n, zero) -
+                            kxx::min(a_s, zero) + kxx::max(a_t, zero) - kxx::min(a_b, zero));
+    const P vol = kxx::pack_load<N>(g.area.ptr(j, i0)) * g.dz[k];
+    const P q_plus = (qmax - t_c) * vol;
+    const P q_minus = (t_c - qmin) * vol;
+    const P one(1.0);
+    int pos_p[N], pos_m[N];
+    for (int l = 0; l < N; ++l) {
+      pos_p[l] = p_plus[l] > 0.0;
+      pos_m[l] = p_minus[l] > 0.0;
+    }
+    const P r_p = kxx::select(pos_p, kxx::min(one, q_plus / p_plus), zero);
+    const P r_m = kxx::select(pos_m, kxx::min(one, q_minus / p_minus), zero);
+    kxx::pack_store<N>(rp.ptr(k, j, i0), kxx::select(act, r_p, zero));
+    kxx::pack_store<N>(rm.ptr(k, j, i0), kxx::select(act, r_m, zero));
   }
 };
 
-/// Stage 4: apply limited anti-diffusive fluxes.
+/// Stage 4: apply limited anti-diffusive fluxes. Packed across i like
+/// RFactors; the face coefficient min(r+, r-) is picked per lane by the sign
+/// of the face flux, and the vertical faces by each lane's own kmt.
 struct Correct {
   Geo g;
   CF3 q, qtd, ae, an, at, rp, rm;
   F3 qout;
   double dt;
 
-  double limited_e(long long k, long long j, long long i) const {
-    double a = ae(k, j, i);
-    double c = a >= 0.0 ? std::min(rp(k, j, i + 1), rm(k, j, i))
-                        : std::min(rp(k, j, i), rm(k, j, i + 1));
-    return c * a;
-  }
-  double limited_n(long long k, long long j, long long i) const {
-    double a = an(k, j, i);
-    double c = a >= 0.0 ? std::min(rp(k, j + 1, i), rm(k, j, i))
-                        : std::min(rp(k, j, i), rm(k, j + 1, i));
-    return c * a;
-  }
-  double limited_t(long long k, long long j, long long i) const {
-    if (k <= 0 || k >= g.kmt(j, i)) return 0.0;
-    double a = at(k, j, i);  // positive = upward = into cell k-1
-    double c = a >= 0.0 ? std::min(rp(k - 1, j, i), rm(k, j, i))
-                        : std::min(rp(k, j, i), rm(k - 1, j, i));
-    return c * a;
+  void operator()(long long k, long long j, long long i) const {
+    pack_op<1>(k, j, i, kxx::Mask<1>::all_true());
   }
 
-  void operator()(long long k, long long j, long long i) const {
-    if (!g.active(k, j, i)) {
-      qout(k, j, i) = q(k, j, i);
+  template <int N>
+  void pack_op(long long k, long long j, long long i0, const kxx::Mask<N>& tail) const {
+    using P = kxx::Pack<double, N>;
+    if constexpr (N > 1) {
+      if (!tail.all()) {
+        for (int l = 0; l < N; ++l)
+          if (tail[l]) pack_op<1>(k, j, i0 + l, kxx::Mask<1>::all_true());
+        return;
+      }
+    }
+    int act[N], top[N], bot[N];
+    int any = 0;
+    for (int l = 0; l < N; ++l) {
+      const int kc = g.kmt(j, i0 + l);
+      act[l] = k < kc;
+      top[l] = k > 0 && k < kc;  // limited_t(k) guard
+      bot[l] = k + 1 < kc;       // limited_t(k + 1) guard
+      any |= act[l];
+    }
+    const P q_c = kxx::pack_load<N>(q.ptr(k, j, i0));
+    if (!any) {
+      kxx::pack_store<N>(qout.ptr(k, j, i0), q_c);
       return;
     }
-    double vol = g.area(j, i) * g.dz[k];
-    double div = limited_e(k, j, i) - limited_e(k, j, i - 1) + limited_n(k, j, i) -
-                 limited_n(k, j - 1, i) + limited_t(k, j, i) - limited_t(k + 1, j, i);
-    qout(k, j, i) = qtd(k, j, i) - dt * div / vol;
+    const P zero(0.0);
+    // The limited flux c * a through one face: c = min(r+ downstream,
+    // r- upstream) for a >= 0, else min(r+ upstream, r- downstream).
+    auto limited = [](const P& a, const P& rp_to, const P& rm_from, const P& rp_from,
+                      const P& rm_to) __attribute__((always_inline)) {
+      int fwd[N];
+      for (int l = 0; l < N; ++l) fwd[l] = a[l] >= 0.0;
+      return kxx::select(fwd, kxx::min(rp_to, rm_from), kxx::min(rp_from, rm_to)) * a;
+    };
+    const P rp_c = kxx::pack_load<N>(rp.ptr(k, j, i0));
+    const P rm_c = kxx::pack_load<N>(rm.ptr(k, j, i0));
+    const P rp_e = kxx::pack_load<N>(rp.ptr(k, j, i0 + 1));
+    const P rm_e = kxx::pack_load<N>(rm.ptr(k, j, i0 + 1));
+    const P rp_w = kxx::pack_load<N>(rp.ptr(k, j, i0 - 1));
+    const P rm_w = kxx::pack_load<N>(rm.ptr(k, j, i0 - 1));
+    const P rp_n = kxx::pack_load<N>(rp.ptr(k, j + 1, i0));
+    const P rm_n = kxx::pack_load<N>(rm.ptr(k, j + 1, i0));
+    const P rp_s = kxx::pack_load<N>(rp.ptr(k, j - 1, i0));
+    const P rm_s = kxx::pack_load<N>(rm.ptr(k, j - 1, i0));
+    const P f_e = limited(kxx::pack_load<N>(ae.ptr(k, j, i0)), rp_e, rm_c, rp_c, rm_e);
+    const P f_w = limited(kxx::pack_load<N>(ae.ptr(k, j, i0 - 1)), rp_c, rm_w, rp_w, rm_c);
+    const P f_n = limited(kxx::pack_load<N>(an.ptr(k, j, i0)), rp_n, rm_c, rp_c, rm_n);
+    const P f_s = limited(kxx::pack_load<N>(an.ptr(k, j - 1, i0)), rp_c, rm_s, rp_s, rm_c);
+    // Vertical faces: a > 0 is upward, into the cell above.
+    P f_t = zero;
+    if (k > 0) {
+      const P rp_u = kxx::pack_load<N>(rp.ptr(k - 1, j, i0));
+      const P rm_u = kxx::pack_load<N>(rm.ptr(k - 1, j, i0));
+      f_t = kxx::select(top, limited(kxx::pack_load<N>(at.ptr(k, j, i0)), rp_u, rm_c, rp_c, rm_u),
+                        zero);
+    }
+    P f_b = zero;
+    if (k + 1 < g.nz) {
+      const P rp_d = kxx::pack_load<N>(rp.ptr(k + 1, j, i0));
+      const P rm_d = kxx::pack_load<N>(rm.ptr(k + 1, j, i0));
+      f_b = kxx::select(
+          bot, limited(kxx::pack_load<N>(at.ptr(k + 1, j, i0)), rp_c, rm_d, rp_d, rm_c), zero);
+    }
+    const P vol = kxx::pack_load<N>(g.area.ptr(j, i0)) * g.dz[k];
+    const P div = f_e - f_w + f_n - f_s + f_t - f_b;
+    const P t_c = kxx::pack_load<N>(qtd.ptr(k, j, i0));
+    kxx::pack_store<N>(qout.ptr(k, j, i0), kxx::select(act, t_c - dt * div / vol, q_c));
   }
 };
 
@@ -448,6 +546,26 @@ kxx::MDRangePolicy3 cells3(const LocalGrid& g, int margin) {
   // Cells [margin, n_total - margin) in both horizontal directions, all k.
   return kxx::MDRangePolicy3({0, margin, margin},
                              {g.nz(), g.ny_total() - margin, g.nx_total() - margin});
+}
+
+/// Stages 3-4 for one tracer, shared by both advection entry points: the
+/// limiter factors on interior + 1 ring, then the corrected update on the
+/// interior, both packed across i.
+void limit_and_correct(const LocalGrid& g, const adv::Geo& geo, double dt,
+                       const halo::BlockField3D& q, const halo::BlockField3D& q_td,
+                       const halo::BlockField3D& a_e, const halo::BlockField3D& a_n,
+                       const halo::BlockField3D& a_t, halo::BlockField3D& r_plus,
+                       halo::BlockField3D& r_minus, halo::BlockField3D& q_out) {
+  const int h = decomp::kHaloWidth;
+  adv::RFactors rf{geo,       cref(q),      cref(q_td),    cref(a_e),     cref(a_n),
+                   cref(a_t), mref(r_plus), mref(r_minus), dt};
+  kxx::parallel_for_packed("adv_r_factors", cells3(g, 1), rf);
+  adv::Correct cr{geo,          cref(q),       cref(q_td), cref(a_e),    cref(a_n),
+                  cref(a_t),    cref(r_plus),  cref(r_minus), mref(q_out), dt};
+  kxx::parallel_for_packed(
+      "adv_correct",
+      kxx::MDRangePolicy3({0, h, h}, {g.nz(), g.ny_total() - h, g.nx_total() - h}), cr);
+  q_out.mark_dirty();
 }
 
 }  // namespace
@@ -500,7 +618,6 @@ void advect_tracer_fct(const LocalGrid& g, double dt, const halo::BlockField3D& 
                        AdvectionWorkspace& ws, halo::HaloExchanger& exchanger,
                        halo::BlockField3D& q_out) {
   adv::Geo geo = make_geo(g);
-  const int h = decomp::kHaloWidth;
   const int nyt = g.ny_total();
   const int nxt = g.nx_total();
 
@@ -528,17 +645,8 @@ void advect_tracer_fct(const LocalGrid& g, double dt, const halo::BlockField3D& 
 
   exchanger.finish_update(pending);
 
-  // Stage 3: limiter factors on interior + 1 ring.
-  adv::RFactors rf{geo,          cref(q),        cref(ws.q_td), cref(ws.a_e), cref(ws.a_n),
-                   cref(ws.a_t), mref(ws.r_plus), mref(ws.r_minus), dt};
-  kxx::parallel_for("adv_r_factors", cells3(g, 1), rf);
-
-  // Stage 4: corrected update on the interior.
-  adv::Correct cr{geo,          cref(q),          cref(ws.q_td),   cref(ws.a_e), cref(ws.a_n),
-                  cref(ws.a_t), cref(ws.r_plus),  cref(ws.r_minus), mref(q_out),  dt};
-  kxx::parallel_for("adv_correct",
-                    kxx::MDRangePolicy3({0, h, h}, {g.nz(), nyt - h, nxt - h}), cr);
-  q_out.mark_dirty();
+  limit_and_correct(g, geo, dt, q, ws.q_td, ws.a_e, ws.a_n, ws.a_t, ws.r_plus, ws.r_minus,
+                    q_out);
 }
 
 TracerAdvScratch::TracerAdvScratch(const LocalGrid& g)
@@ -555,7 +663,6 @@ void advect_tracer_pair(const LocalGrid& g, double dt, const halo::BlockField3D&
                         halo::BlockField3D& qa_out, halo::BlockField3D& qb_out,
                         bool fuse_low_order) {
   adv::Geo geo = make_geo(g);
-  const int h = decomp::kHaloWidth;
   const int nyt = g.ny_total();
   const int nxt = g.nx_total();
 
@@ -609,24 +716,10 @@ void advect_tracer_pair(const LocalGrid& g, double dt, const halo::BlockField3D&
 
   group.finish();
 
-  adv::RFactors rf_a{geo,          cref(qa),        cref(ws.q_td), cref(ws.a_e), cref(ws.a_n),
-                     cref(ws.a_t), mref(ws.r_plus), mref(ws.r_minus), dt};
-  kxx::parallel_for("adv_r_factors", cells3(g, 1), rf_a);
-  adv::RFactors rf_b{geo, cref(qb), cref(scratch.q_td), cref(scratch.a_e), cref(scratch.a_n),
-                     cref(scratch.a_t), mref(scratch.r_plus), mref(scratch.r_minus), dt};
-  kxx::parallel_for("adv_r_factors", cells3(g, 1), rf_b);
-
-  adv::Correct cr_a{geo,          cref(qa),         cref(ws.q_td),   cref(ws.a_e), cref(ws.a_n),
-                    cref(ws.a_t), cref(ws.r_plus),  cref(ws.r_minus), mref(qa_out), dt};
-  kxx::parallel_for("adv_correct",
-                    kxx::MDRangePolicy3({0, h, h}, {g.nz(), nyt - h, nxt - h}), cr_a);
-  qa_out.mark_dirty();
-  adv::Correct cr_b{geo, cref(qb), cref(scratch.q_td), cref(scratch.a_e), cref(scratch.a_n),
-                    cref(scratch.a_t), cref(scratch.r_plus), cref(scratch.r_minus),
-                    mref(qb_out), dt};
-  kxx::parallel_for("adv_correct",
-                    kxx::MDRangePolicy3({0, h, h}, {g.nz(), nyt - h, nxt - h}), cr_b);
-  qb_out.mark_dirty();
+  limit_and_correct(g, geo, dt, qa, ws.q_td, ws.a_e, ws.a_n, ws.a_t, ws.r_plus, ws.r_minus,
+                    qa_out);
+  limit_and_correct(g, geo, dt, qb, scratch.q_td, scratch.a_e, scratch.a_n, scratch.a_t,
+                    scratch.r_plus, scratch.r_minus, qb_out);
 }
 
 }  // namespace licomk::core

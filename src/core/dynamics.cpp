@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/column_solve.hpp"
 #include "core/constants.hpp"
 #include "core/eos.hpp"
 #include "core/field_ref.hpp"
@@ -11,11 +12,6 @@
 #include "kxx/kxx.hpp"
 
 namespace licomk::core {
-
-/// Columns never exceed this (Table III tops out at 244 levels); column
-/// functors use fixed-size scratch so they stay trivially copyable and fit
-/// the CPE LDM model.
-inline constexpr int kMaxLevels = 256;
 
 namespace dyn {
 
@@ -529,6 +525,11 @@ struct AccumulateK2D {
   void operator()(long long j, long long i) const { acc(j, i) += weight * src(j, i); }
 };
 
+/// bclinc column: semi-implicit Coriolis, implicit vertical viscosity of u
+/// and v against ONE shared factorization of the corner-averaged kappa_m
+/// system, barotropic re-anchoring and the Asselin filter. Packed across i:
+/// lane l carries column i0 + l to its own depth kmu. The scalar body is
+/// pack_op<1> (AthreadSim, pack width 1, partial i-tails).
 struct BclincColumnK {
   CI2 kmu;
   CF2 fcor;
@@ -543,53 +544,89 @@ struct BclincColumnK {
   int nz = 0;
 
   void operator()(long long j, long long i) const {
-    int nlev = kmu(j, i);
-    double un[kMaxLevels];
-    double vn[kMaxLevels];
-    double kf[kMaxLevels];
-    double dt2 = 2.0 * dt;
-    double alpha = fcor(j, i) * 0.5 * dt2;
-    double denom = 1.0 + alpha * alpha;
-    for (int k = 0; k < nlev; ++k) {
-      double au = u_old(k, j, i) + alpha * v_old(k, j, i) + dt2 * fu(k, j, i);
-      double av = v_old(k, j, i) - alpha * u_old(k, j, i) + dt2 * fv(k, j, i);
-      un[k] = (au + alpha * av) / denom;
-      vn[k] = (av - alpha * au) / denom;
+    pack_op<1>(j, i, kxx::Mask<1>::all_true());
+  }
+
+  template <int N>
+  void pack_op(long long j, long long i0, const kxx::Mask<N>& tail) const {
+    if constexpr (N > 1) {
+      if (!tail.all()) {
+        // Partial i-tail: lanes past the extent must not be read or written.
+        for (int l = 0; l < N; ++l)
+          if (tail[l]) pack_op<1>(j, i0 + l, kxx::Mask<1>::all_true());
+        return;
+      }
+    }
+    int nlev[N];
+    int nmax = 0;
+    for (int l = 0; l < N; ++l) {
+      nlev[l] = kmu(j, i0 + l);
+      nmax = nlev[l] > nmax ? nlev[l] : nmax;
+    }
+    using P = kxx::Pack<double, N>;
+    const P zero(0.0);
+    double un[kMaxLevels * N];
+    double vn[kMaxLevels * N];
+    double kf[kMaxLevels * N];
+    const double dt2 = 2.0 * dt;
+    const P alpha = kxx::pack_load<N>(fcor.ptr(j, i0)) * 0.5 * dt2;
+    const P denom = 1.0 + alpha * alpha;
+    for (int k = 0; k < nmax; ++k) {
+      const P uo = kxx::pack_load<N>(u_old.ptr(k, j, i0));
+      const P vo = kxx::pack_load<N>(v_old.ptr(k, j, i0));
+      const P au = uo + alpha * vo + dt2 * kxx::pack_load<N>(fu.ptr(k, j, i0));
+      const P av = vo - alpha * uo + dt2 * kxx::pack_load<N>(fv.ptr(k, j, i0));
+      kxx::pack_store<N>(un + k * N, (au + alpha * av) / denom);
+      kxx::pack_store<N>(vn + k * N, (av - alpha * au) / denom);
       // Vertical viscosity at the face below cell k: corner average of the
       // four surrounding T columns.
-      kf[k] = 0.25 * (kappa_m(k, j, i) + kappa_m(k, j, i + 1) + kappa_m(k, j + 1, i) +
-                      kappa_m(k, j + 1, i + 1));
+      kxx::pack_store<N>(kf + k * N, 0.25 * (kxx::pack_load<N>(kappa_m.ptr(k, j, i0)) +
+                                             kxx::pack_load<N>(kappa_m.ptr(k, j, i0 + 1)) +
+                                             kxx::pack_load<N>(kappa_m.ptr(k, j + 1, i0)) +
+                                             kxx::pack_load<N>(kappa_m.ptr(k, j + 1, i0 + 1))));
     }
-    if (nlev > 0) {
-      implicit_vertical_solve(nlev, dt2, kf, dz, zc, un);
-      implicit_vertical_solve(nlev, dt2, kf, dz, zc, vn);
+    if (nmax > 0) {
+      double* const uv[2] = {un, vn};
+      implicit_vertical_solve_packed<N, 2>(nlev, dt2, kf, dz, zc, uv);
       // Re-anchor the depth mean to the barotropic solution.
-      double mu = 0.0;
-      double mv = 0.0;
-      double hsum = 0.0;
-      for (int k = 0; k < nlev; ++k) {
-        mu += un[k] * dz[k];
-        mv += vn[k] * dz[k];
-        hsum += dz[k];
+      P mu = zero;
+      P mv = zero;
+      P hsum = zero;
+      for (int k = 0; k < nmax; ++k) {
+        int live[N];
+        for (int l = 0; l < N; ++l) live[l] = k < nlev[l];
+        mu = kxx::select(live, mu + kxx::pack_load<N>(un + k * N) * dz[k], mu);
+        mv = kxx::select(live, mv + kxx::pack_load<N>(vn + k * N) * dz[k], mv);
+        hsum = kxx::select(live, hsum + dz[k], hsum);
       }
-      mu /= hsum;
-      mv /= hsum;
-      for (int k = 0; k < nlev; ++k) {
-        un[k] += ubar_avg(j, i) - mu;
-        vn[k] += vbar_avg(j, i) - mv;
+      const P du = kxx::pack_load<N>(ubar_avg.ptr(j, i0)) - mu / hsum;
+      const P dv = kxx::pack_load<N>(vbar_avg.ptr(j, i0)) - mv / hsum;
+      for (int k = 0; k < nmax; ++k) {
+        int live[N];
+        for (int l = 0; l < N; ++l) live[l] = k < nlev[l];
+        const P u = kxx::pack_load<N>(un + k * N) + du;
+        const P v = kxx::pack_load<N>(vn + k * N) + dv;
+        kxx::pack_store<N>(u_new.ptr(k, j, i0), kxx::select(live, u, zero));
+        kxx::pack_store<N>(v_new.ptr(k, j, i0), kxx::select(live, v, zero));
+        // Robert–Asselin filter on the central time level.
+        const P uc = kxx::pack_load<N>(u_cur.ptr(k, j, i0));
+        const P vc = kxx::pack_load<N>(v_cur.ptr(k, j, i0));
+        const P uo = kxx::pack_load<N>(u_old.ptr(k, j, i0));
+        const P vo = kxx::pack_load<N>(v_old.ptr(k, j, i0));
+        kxx::pack_store<N>(u_cur.ptr(k, j, i0),
+                           kxx::select(live, uc + gamma * (uo - 2.0 * uc + u), uc));
+        kxx::pack_store<N>(v_cur.ptr(k, j, i0),
+                           kxx::select(live, vc + gamma * (vo - 2.0 * vc + v), vc));
       }
-    }
-    for (int k = 0; k < nlev; ++k) {
-      u_new(k, j, i) = un[k];
-      v_new(k, j, i) = vn[k];
-      // Robert–Asselin filter on the central time level.
-      u_cur(k, j, i) += gamma * (u_old(k, j, i) - 2.0 * u_cur(k, j, i) + un[k]);
-      v_cur(k, j, i) += gamma * (v_old(k, j, i) - 2.0 * v_cur(k, j, i) + vn[k]);
     }
     // Clear land levels so buffer rotation never resurfaces stale values.
-    for (int k = nlev; k < nz; ++k) {
-      u_new(k, j, i) = 0.0;
-      v_new(k, j, i) = 0.0;
+    for (int k = nmax; k < nz; ++k) {
+      double* unew = u_new.ptr(k, j, i0);
+      double* vnew = v_new.ptr(k, j, i0);
+      for (int l = 0; l < N; ++l) {
+        unew[l] = 0.0;
+        vnew[l] = 0.0;
+      }
     }
   }
 };
@@ -629,27 +666,9 @@ kxx::MDRangePolicy3 interior3(const LocalGrid& g) {
 
 void implicit_vertical_solve(int nlev, double dt, const double* kappa_face, const double* dz,
                              const double* zc, double* x) {
-  if (nlev <= 1) return;
-  double a[kMaxLevels];
-  double b[kMaxLevels];
-  double c[kMaxLevels];
-  for (int k = 0; k < nlev; ++k) {
-    double lam_up = 0.0;
-    double lam_dn = 0.0;
-    if (k > 0) lam_up = dt * kappa_face[k - 1] / (dz[k] * (zc[k] - zc[k - 1]));
-    if (k < nlev - 1) lam_dn = dt * kappa_face[k] / (dz[k] * (zc[k + 1] - zc[k]));
-    a[k] = -lam_up;
-    b[k] = 1.0 + lam_up + lam_dn;
-    c[k] = -lam_dn;
-  }
-  // Thomas forward sweep.
-  for (int k = 1; k < nlev; ++k) {
-    double m = a[k] / b[k - 1];
-    b[k] -= m * c[k - 1];
-    x[k] -= m * x[k - 1];
-  }
-  x[nlev - 1] /= b[nlev - 1];
-  for (int k = nlev - 2; k >= 0; --k) x[k] = (x[k] - c[k] * x[k + 1]) / b[k];
+  const int n[1] = {nlev};
+  double* const rhs[1] = {x};
+  implicit_vertical_solve_packed<1, 1>(n, dt, kappa_face, dz, zc, rhs);
 }
 
 void compute_density(const LocalGrid& g, bool linear_eos, const halo::BlockField3D& t,
@@ -877,7 +896,7 @@ void baroclinic_update(const LocalGrid& g, const ModelConfig& cfg, OceanState& s
                        mref(state.u_new), mref(state.v_new), cref(ubar_avg), cref(vbar_avg),
                        g.vertical().thicknesses().data(), g.vertical().centers().data(),
                        cfg.grid.dt_baroclinic, cfg.asselin_coeff, g.nz()};
-  kxx::parallel_for("bclinc_column", interior2(g), f);
+  kxx::parallel_for_packed("bclinc_column", interior2(g), f);
   state.u_new.mark_dirty();
   state.v_new.mark_dirty();
   state.u_cur.mark_dirty();

@@ -83,7 +83,9 @@ void baroclinic_update(const LocalGrid& g, const ModelConfig& cfg, OceanState& s
 /// Tridiagonal (Thomas) solve of the implicit vertical mixing system for one
 /// column: (I - dt * d/dz kappa d/dz) x = rhs, zero-flux boundaries.
 /// `kappa_face[k]` sits below cell k; `dz[k]` are thicknesses; `zc[k]` cell
-/// centers. x is rhs on input, solution on output. Exposed for unit tests.
+/// centers. x is rhs on input, solution on output. The one-lane, one-RHS
+/// instance of implicit_vertical_solve_packed (column_solve.hpp), the only
+/// body of the algorithm. Exposed for unit tests.
 void implicit_vertical_solve(int nlev, double dt, const double* kappa_face, const double* dz,
                              const double* zc, double* x);
 

@@ -51,6 +51,13 @@ double shortwave_fraction(double depth_m) {
   return kR * std::exp(-depth_m / kZ1) + (1.0 - kR) * std::exp(-depth_m / kZ2);
 }
 
+std::vector<double> shortwave_fraction_table(const std::vector<double>& depths_m) {
+  std::vector<double> table;
+  table.reserve(depths_m.size());
+  for (double z : depths_m) table.push_back(shortwave_fraction(z));
+  return table;
+}
+
 double initial_temperature(double lat_deg, double depth_m) {
   double phi = deg2rad(lat_deg);
   double surface = -1.0 + 26.0 * std::cos(phi) * std::cos(phi);

@@ -7,6 +7,8 @@
 // salinity restoring. All functions are pure in (lon, lat, day-of-year).
 #pragma once
 
+#include <vector>
+
 namespace licomk::core {
 
 struct SurfaceForcing {
@@ -21,6 +23,12 @@ struct SurfaceForcing {
 /// the Jerlov type-I double-exponential water clarity profile,
 /// R e^{-z/z1} + (1-R) e^{-z/z2} with R = 0.58, z1 = 0.35 m, z2 = 23 m.
 double shortwave_fraction(double depth_m);
+
+/// shortwave_fraction at each of `depths_m` — the per-level table the tracer
+/// column reads. It depends only on the vertical grid, so a model builds it
+/// once (from the nz + 1 interface depths) instead of every column
+/// re-evaluating the exponentials each step.
+std::vector<double> shortwave_fraction_table(const std::vector<double>& depths_m);
 
 /// Climatological forcing at a point. `day_of_year` in [0, 365) introduces a
 /// mild seasonal cycle (hemispheric SST swing and wind-band migration).

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "core/dynamics.hpp"
+#include "core/forcing.hpp"
 #include "core/restart.hpp"
 #include "core/tracer.hpp"
 #include "decomp/load_balance.hpp"
@@ -180,6 +181,7 @@ LicomModel::LicomModel(const ModelConfig& cfg, std::shared_ptr<const grid::Globa
   polar_ = std::make_unique<PolarFilter>(*lgrid_);
   adv_ws_ = std::make_unique<AdvectionWorkspace>(*lgrid_);
   adv_scratch_ = std::make_unique<TracerAdvScratch>(*lgrid_);
+  shortwave_frac_ = shortwave_fraction_table(lgrid_->vertical().interfaces());
   ubar_avg_ = halo::BlockField2D("ubar_avg", lgrid_->extent());
   vbar_avg_ = halo::BlockField2D("vbar_avg", lgrid_->extent());
   gu_bar_ = halo::BlockField2D("gu_bar", lgrid_->extent());
@@ -299,7 +301,8 @@ void LicomModel::step() {
 
   {
     PhaseScope t("tracer", "phase");
-    tracer_step(*lgrid_, cfg_, *state_, *adv_ws_, *adv_scratch_, *exchanger_, day);
+    tracer_step(*lgrid_, cfg_, *state_, *adv_ws_, *adv_scratch_, *exchanger_, shortwave_frac_,
+                day);
     state_->rotate_tracers();
     halo::ExchangeGroup group(*exchanger_);
     group.add(state_->t_cur, halo::FoldSign::Symmetric, method);

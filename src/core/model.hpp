@@ -136,6 +136,8 @@ class LicomModel {
   std::unique_ptr<PolarFilter> polar_;
   std::unique_ptr<AdvectionWorkspace> adv_ws_;
   std::unique_ptr<TracerAdvScratch> adv_scratch_;
+  /// shortwave_fraction at the nz + 1 interfaces, built once (tracer_step).
+  std::vector<double> shortwave_frac_;
   halo::BlockField2D ubar_avg_, vbar_avg_, gu_bar_, gv_bar_;
   std::vector<double> daily_sst_;
   std::vector<double> daily_eta_;

@@ -1,12 +1,14 @@
 #include "core/tracer.hpp"
 
 #include <cmath>
+#include <vector>
 
+#include "core/column_solve.hpp"
 #include "core/constants.hpp"
-#include "core/dynamics.hpp"
 #include "core/field_ref.hpp"
 #include "core/forcing.hpp"
 #include "kxx/kxx.hpp"
+#include "util/error.hpp"
 
 namespace licomk::core {
 namespace trc {
@@ -191,59 +193,107 @@ struct LapFieldK {
   }
 };
 
-/// Column finisher: penetrating shortwave, implicit vertical diffusion,
-/// surface restoring.
-struct TracerColumnK {
+/// Column finisher for BOTH tracers: penetrating shortwave (temperature),
+/// surface restoring, and implicit vertical diffusion of t and s against one
+/// shared factorization of the kappa_t system (column_solve.hpp). The surface
+/// forcing is evaluated once per column, and the shortwave profile is read
+/// from a per-level table. Packed across i — lane l carries column i0 + l to
+/// its own depth kmt — and the scalar body is pack_op<1> (AthreadSim, pack
+/// width 1, partial i-tails). Each lane performs a per-tracer scalar column's
+/// FP ops in its order, so every width is bit-identical.
+struct TracerPairColumnK {
   CI2 kmt;
   CF2 lon, lat;
-  CF3 kappa_t, q_old;
-  F3 q;  ///< advected+diffused field, solved in place
+  CF3 kappa_t, t_old, s_old;  ///< pre-step tracers (time level n) for restoring
+  F3 t, s;                    ///< advected+diffused fields, solved in place
   const double* dz = nullptr;
   const double* zc = nullptr;
-  const double* iface = nullptr;  ///< nz+1 interface depths
+  const double* sw_frac = nullptr;  ///< nz+1 entries: shortwave_fraction(iface[k])
   double dt = 0.0;
   double restore_rate = 0.0;  ///< 1/s
   double day_of_year = 0.0;
-  int which = 0;  ///< 0 = temperature, 1 = salinity
   int solar = 0;  ///< Jerlov shortwave penetration (temperature only)
-  int nz = 0;
   /// Heat-flux ensemble perturbation: offset on the SST restoring target
   /// (the restoring term IS the surface heat flux; shortwave is
   /// redistributive over the column, so this is the effective flux knob).
   double sst_offset_c = 0.0;
 
   void operator()(long long j, long long i) const {
-    int nlev = kmt(j, i);
-    if (nlev == 0) return;
-    double col[256];
-    double kf[256];
-    for (int k = 0; k < nlev; ++k) {
-      col[k] = q(k, j, i);
-      kf[k] = kappa_t(k, j, i);
-    }
-    SurfaceForcing f = climatological_forcing(lon(j, i), lat(j, i), day_of_year);
+    pack_op<1>(j, i, kxx::Mask<1>::all_true());
+  }
 
-    if (which == 0 && solar != 0) {
+  template <int N>
+  void pack_op(long long j, long long i0, const kxx::Mask<N>& tail) const {
+    if constexpr (N > 1) {
+      if (!tail.all()) {
+        // Partial i-tail: lanes past the extent must not be read or written.
+        for (int l = 0; l < N; ++l)
+          if (tail[l]) pack_op<1>(j, i0 + l, kxx::Mask<1>::all_true());
+        return;
+      }
+    }
+    int nlev[N];
+    int nmax = 0;
+    for (int l = 0; l < N; ++l) {
+      nlev[l] = kmt(j, i0 + l);
+      nmax = nlev[l] > nmax ? nlev[l] : nmax;
+    }
+    if (nmax == 0) return;
+    using P = kxx::Pack<double, N>;
+    double tc[kMaxLevels * N];
+    double sc[kMaxLevels * N];
+    double kf[kMaxLevels * N];
+    for (int k = 0; k < nmax; ++k) {
+      kxx::pack_store<N>(tc + k * N, kxx::pack_load<N>(t.ptr(k, j, i0)));
+      kxx::pack_store<N>(sc + k * N, kxx::pack_load<N>(s.ptr(k, j, i0)));
+      kxx::pack_store<N>(kf + k * N, kxx::pack_load<N>(kappa_t.ptr(k, j, i0)));
+    }
+    // Surface forcing once per column, for both tracers (lane-scalar: the
+    // climatology is branchy transcendental code).
+    P sst, sss, q0;  // q0 in K m / s
+    for (int l = 0; l < N; ++l) {
+      if (nlev[l] == 0) continue;
+      const SurfaceForcing f = climatological_forcing(lon(j, i0 + l), lat(j, i0 + l), day_of_year);
+      sst[l] = f.sst_target + sst_offset_c;
+      sss[l] = f.sss_target;
+      q0[l] = f.shortwave / (kRho0 * kCp);
+    }
+
+    if (solar != 0) {
       // Penetrating shortwave: the Jerlov profile deposits heat through the
       // upper ocean. The column-integrated surface balance (longwave/latent
       // cooling vs insolation) is already folded into the restoring target,
       // so the whole flux is withdrawn from the top cell again — the term is
       // purely redistributive (column heat change is exactly zero) but warms
       // the subsurface, the physical effect the profile exists to capture.
-      double q0 = f.shortwave / (kRho0 * kCp);  // K m / s
-      for (int k = 0; k < nlev; ++k) {
-        double absorbed = shortwave_fraction(iface[k]) - shortwave_fraction(iface[k + 1]);
-        if (k == nlev - 1) absorbed += shortwave_fraction(iface[nlev]);  // bottom absorbs rest
-        col[k] += dt * q0 * absorbed / dz[k];
+      const P dq = dt * q0;
+      for (int k = 0; k < nmax; ++k) {
+        const double absorbed = sw_frac[k] - sw_frac[k + 1];
+        const double bottom = absorbed + sw_frac[k + 1];  // bottom cell absorbs the rest
+        int last[N];
+        for (int l = 0; l < N; ++l) last[l] = k == nlev[l] - 1;
+        const P a = kxx::select(last, P(bottom), P(absorbed));
+        kxx::pack_store<N>(tc + k * N, kxx::pack_load<N>(tc + k * N) + dq * a / dz[k]);
       }
-      col[0] -= dt * q0 / dz[0];
+      kxx::pack_store<N>(tc, kxx::pack_load<N>(tc) - dq / dz[0]);
     }
 
     // Surface restoring enters as an explicit source in the top cell.
-    double target = which == 0 ? f.sst_target + sst_offset_c : f.sss_target;
-    col[0] += dt * restore_rate * (target - q_old(0, j, i));
-    implicit_vertical_solve(nlev, dt, kf, dz, zc, col);
-    for (int k = 0; k < nlev; ++k) q(k, j, i) = col[k];
+    const double rr = dt * restore_rate;
+    kxx::pack_store<N>(tc, kxx::pack_load<N>(tc) +
+                               rr * (sst - kxx::pack_load<N>(t_old.ptr(0, j, i0))));
+    kxx::pack_store<N>(sc, kxx::pack_load<N>(sc) +
+                               rr * (sss - kxx::pack_load<N>(s_old.ptr(0, j, i0))));
+    double* const ts[2] = {tc, sc};
+    implicit_vertical_solve_packed<N, 2>(nlev, dt, kf, dz, zc, ts);
+    for (int k = 0; k < nmax; ++k) {
+      int live[N];
+      for (int l = 0; l < N; ++l) live[l] = k < nlev[l];
+      kxx::pack_store<N>(t.ptr(k, j, i0), kxx::select(live, kxx::pack_load<N>(tc + k * N),
+                                                      kxx::pack_load<N>(t.ptr(k, j, i0))));
+      kxx::pack_store<N>(s.ptr(k, j, i0), kxx::select(live, kxx::pack_load<N>(sc + k * N),
+                                                      kxx::pack_load<N>(s.ptr(k, j, i0))));
+    }
   }
 };
 
@@ -253,20 +303,48 @@ struct TracerColumnK {
 KXX_REGISTER_FOR_3D(trc_hdiff, licomk::core::trc::HDiffK);
 KXX_REGISTER_FOR_3D(trc_hdiff_pair, licomk::core::trc::FusedHDiffPairK);
 KXX_REGISTER_FOR_3D(trc_lap_field, licomk::core::trc::LapFieldK);
-KXX_REGISTER_FOR_2D(trc_column, licomk::core::trc::TracerColumnK);
+KXX_REGISTER_FOR_2D(trc_column, licomk::core::trc::TracerPairColumnK);
 
 namespace licomk::core {
 
+void tracer_columns(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
+                    const std::vector<double>& sw_frac, double day_of_year) {
+  LICOMK_REQUIRE(g.nz() <= kMaxLevels, "column deeper than kMaxLevels");
+  LICOMK_REQUIRE(sw_frac.size() == static_cast<size_t>(g.nz()) + 1,
+                 "shortwave table needs nz + 1 interface values");
+  const int h = decomp::kHaloWidth;
+  trc::TracerPairColumnK tc{cref(g.kmt_view()),
+                            cref(g.lon_view()),
+                            cref(g.lat_view()),
+                            cref(state.kappa_t),
+                            cref(state.t_cur),
+                            cref(state.s_cur),
+                            mref(state.t_new),
+                            mref(state.s_new),
+                            g.vertical().thicknesses().data(),
+                            g.vertical().centers().data(),
+                            sw_frac.data(),
+                            cfg.grid.dt_tracer,
+                            1.0 / (cfg.restore_timescale_days * 86400.0),
+                            day_of_year,
+                            cfg.solar_penetration ? 1 : 0,
+                            cfg.sst_target_offset_c};
+  kxx::parallel_for_packed("trc_column",
+                           kxx::MDRangePolicy2({h, h}, {h + g.ny(), h + g.nx()}), tc);
+  state.t_new.mark_dirty();
+  state.s_new.mark_dirty();
+}
+
 void tracer_step(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
                  AdvectionWorkspace& ws, TracerAdvScratch& scratch,
-                 halo::HaloExchanger& exchanger, double day_of_year) {
+                 halo::HaloExchanger& exchanger, const std::vector<double>& sw_frac,
+                 double day_of_year) {
   const int h = decomp::kHaloWidth;
   const double dt = cfg.grid.dt_tracer;
   // Global representative spacing (decomposition-independent physics).
   const auto& gh = g.global().h();
   const double dx_mean = gh.dx_t(gh.ny() / 2, gh.nx() / 2);
   const double ah = cfg.effective_diffusivity(dx_mean);
-  const double restore_rate = 1.0 / (cfg.restore_timescale_days * 86400.0);
 
   const bool fuse_adv =
       cfg.fuse_kernels && kxx::default_backend() != kxx::Backend::AthreadSim;
@@ -276,7 +354,6 @@ void tracer_step(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
 
   // Single-plane tiles for the staged trc_hdiff dispatches (see dynamics.cpp).
   kxx::MDRangePolicy3 interior3({0, h, h}, {g.nz(), h + g.ny(), h + g.nx()}, {1, 4, 64});
-  kxx::MDRangePolicy2 interior2({h, h}, {h + g.ny(), h + g.nx()});
 
   const long long seam = g.seam_row() >= 0 ? g.seam_row() : -2;
   const double a4 = cfg.effective_biharmonic(dx_mean);
@@ -300,55 +377,38 @@ void tracer_step(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
     // 3 kmt probes per face pair, counted as the five metric planes).
     kxx::note_fusion_views_elided(5LL * g.ny() * g.nx() *
                                   static_cast<long long>(sizeof(double)));
-  }
-
-  for (int which = 0; which < 2; ++which) {
-    const halo::BlockField3D& q_cur = which == 0 ? state.t_cur : state.s_cur;
-    halo::BlockField3D& q_new = which == 0 ? state.t_new : state.s_new;
-
-    if (fuse) {
-      // Horizontal diffusion already applied by the fused pair sweep above.
-    } else if (cfg.hmix == HMixScheme::Laplacian) {
-      trc::HDiffK hd{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
-                     cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
-                     cref(q_cur),        mref(q_new),        g.vertical().thicknesses().data(),
-                     dt * ah,            seam};
-      kxx::parallel_for("trc_hdiff", interior3, hd);
-    } else {
-      // Biharmonic: lap(q) over interior + 1 ring, then -A4 * lap(lap(q)).
-      kxx::MDRangePolicy3 ring1({0, 1, 1},
-                                {g.nz(), g.ny_total() - 1, g.nx_total() - 1});
-      trc::LapFieldK lf{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
-                        cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
-                        cref(q_cur),        mref(ws.hmix_lap),
-                        g.vertical().thicknesses().data(), seam};
-      kxx::parallel_for("trc_lap_field", ring1, lf);
-      trc::HDiffK bh{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
-                     cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
-                     cref(ws.hmix_lap),  mref(q_new),        g.vertical().thicknesses().data(),
-                     -dt * a4,           seam};
-      kxx::parallel_for("trc_hdiff", interior3, bh);
+  } else {
+    for (int which = 0; which < 2; ++which) {
+      const halo::BlockField3D& q_cur = which == 0 ? state.t_cur : state.s_cur;
+      halo::BlockField3D& q_new = which == 0 ? state.t_new : state.s_new;
+      if (cfg.hmix == HMixScheme::Laplacian) {
+        trc::HDiffK hd{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
+                       cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
+                       cref(q_cur),        mref(q_new),        g.vertical().thicknesses().data(),
+                       dt * ah,            seam};
+        kxx::parallel_for("trc_hdiff", interior3, hd);
+      } else {
+        // Biharmonic: lap(q) over interior + 1 ring, then -A4 * lap(lap(q)).
+        kxx::MDRangePolicy3 ring1({0, 1, 1},
+                                  {g.nz(), g.ny_total() - 1, g.nx_total() - 1});
+        trc::LapFieldK lf{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
+                          cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
+                          cref(q_cur),        mref(ws.hmix_lap),
+                          g.vertical().thicknesses().data(), seam};
+        kxx::parallel_for("trc_lap_field", ring1, lf);
+        trc::HDiffK bh{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
+                       cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
+                       cref(ws.hmix_lap),  mref(q_new),        g.vertical().thicknesses().data(),
+                       -dt * a4,           seam};
+        kxx::parallel_for("trc_hdiff", interior3, bh);
+      }
     }
-
-    trc::TracerColumnK tc{cref(g.kmt_view()),
-                          cref(g.lon_view()),
-                          cref(g.lat_view()),
-                          cref(state.kappa_t),
-                          cref(q_cur),
-                          mref(q_new),
-                          g.vertical().thicknesses().data(),
-                          g.vertical().centers().data(),
-                          g.vertical().interfaces().data(),
-                          dt,
-                          restore_rate,
-                          day_of_year,
-                          which,
-                          cfg.solar_penetration ? 1 : 0,
-                          g.nz(),
-                          cfg.sst_target_offset_c};
-    kxx::parallel_for("trc_column", interior2, tc);
-    q_new.mark_dirty();
   }
+
+  // Both tracers' columns in one packed sweep: the horizontal diffusion
+  // passes above touch only their own tracer, so running both before the
+  // columns (instead of interleaving per tracer) changes no bits.
+  tracer_columns(g, cfg, state, sw_frac, day_of_year);
 }
 
 }  // namespace licomk::core

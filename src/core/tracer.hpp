@@ -9,6 +9,8 @@
 // split also used by LICOM's predecessors.
 #pragma once
 
+#include <vector>
+
 #include "core/advection.hpp"
 #include "core/model_config.hpp"
 #include "core/state.hpp"
@@ -20,9 +22,20 @@ namespace licomk::core {
 /// in-advection halo updates — temperature and salinity advect together
 /// through advect_tracer_pair, so their provisional-field exchanges travel
 /// as one aggregated message per neighbor; the new fields' halos are NOT
-/// updated (the model driver exchanges after rotation).
+/// updated (the model driver exchanges after rotation). `sw_frac` is the
+/// model's shortwave table (shortwave_fraction_table of the interfaces).
 void tracer_step(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
                  AdvectionWorkspace& ws, TracerAdvScratch& scratch,
-                 halo::HaloExchanger& exchanger, double day_of_year);
+                 halo::HaloExchanger& exchanger, const std::vector<double>& sw_frac,
+                 double day_of_year);
+
+/// The tracer step's column finisher on the interior: penetrating shortwave
+/// (temperature, when cfg.solar_penetration), surface restoring toward the
+/// climatology relative to t_cur/s_cur, and implicit vertical diffusion of
+/// t_new and s_new in place with state.kappa_t — both tracers through one
+/// packed dispatch ("trc_column") sharing one factorization per column.
+/// `sw_frac` holds shortwave_fraction at the nz + 1 interfaces.
+void tracer_columns(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
+                    const std::vector<double>& sw_frac, double day_of_year);
 
 }  // namespace licomk::core

@@ -16,7 +16,9 @@
 // inside pack functors for the same reason.
 #pragma once
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace licomk::kxx {
 
@@ -248,16 +250,43 @@ inline Pack<T, N> fma(const Pack<T, N>& a, const Pack<T, N>& b, const Pack<T, N>
   for (int l = 0; l < N; ++l) r.d[l] = a.d[l] * b.d[l] + c.d[l];
   return r;
 }
+/// min/max with std::min/std::max semantics lane by lane — std::min(a, b) is
+/// (b < a) ? b : a and std::max(a, b) is (a < b) ? b : a, which decide ±0 and
+/// NaN lanes differently from the naive a < b ? a : b — so a kernel can swap
+/// std::min/std::max (including the initializer-list forms, which fold left
+/// in argument order) for these bit for bit. The plain lane loops lower to
+/// vminpd/vmaxpd.
 template <typename T, int N>
 inline Pack<T, N> min(const Pack<T, N>& a, const Pack<T, N>& b) {
   Pack<T, N> r;
-  for (int l = 0; l < N; ++l) r.d[l] = a.d[l] < b.d[l] ? a.d[l] : b.d[l];
+  for (int l = 0; l < N; ++l) r.d[l] = b.d[l] < a.d[l] ? b.d[l] : a.d[l];
   return r;
 }
 template <typename T, int N>
 inline Pack<T, N> max(const Pack<T, N>& a, const Pack<T, N>& b) {
   Pack<T, N> r;
-  for (int l = 0; l < N; ++l) r.d[l] = a.d[l] > b.d[l] ? a.d[l] : b.d[l];
+  for (int l = 0; l < N; ++l) r.d[l] = a.d[l] < b.d[l] ? b.d[l] : a.d[l];
+  return r;
+}
+
+/// Lane select on an int lane mask (nonzero = take a). Kernels with
+/// data-dependent selects build these masks as int[N] rather than Mask<N>:
+/// the bool array and a blend through a lambda are lowered lane by lane to
+/// scalar code, while int lanes compared and selected in plain loops become
+/// one vector compare and blend (DESIGN.md §12.1). The blend is bitwise, so
+/// the compiler has no lane branch to sink a division or load into — a
+/// ternary here lets it move `a`'s division under a per-lane branch (a
+/// division may trap, so it is never hoisted back out), which leaves the
+/// whole lane loop scalar. The bits are exactly the ternary's.
+template <int N>
+inline Pack<double, N> select(const int (&m)[N], const Pack<double, N>& a,
+                              const Pack<double, N>& b) {
+  Pack<double, N> r;
+  for (int l = 0; l < N; ++l) {
+    const std::uint64_t keep = std::uint64_t{0} - static_cast<std::uint64_t>(m[l] != 0);
+    r.d[l] = std::bit_cast<double>((std::bit_cast<std::uint64_t>(a.d[l]) & keep) |
+                                   (std::bit_cast<std::uint64_t>(b.d[l]) & ~keep));
+  }
   return r;
 }
 

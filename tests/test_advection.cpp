@@ -7,11 +7,16 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <vector>
 
 #include "comm/runtime.hpp"
 #include "core/advection.hpp"
 #include "core/baseline.hpp"
+#include "core/constants.hpp"
+#include "core/dynamics.hpp"
+#include "core/forcing.hpp"
 #include "core/state.hpp"
+#include "core/tracer.hpp"
 #include "kxx/kxx.hpp"
 
 namespace lc = licomk::core;
@@ -520,6 +525,185 @@ TEST(Advection, FusedLowOrderPairBitIdenticalToUnfused) {
           << "pack=" << pack;
       EXPECT_EQ(0, std::memcmp(s_fused.view().data(), s_ref.view().data(), bytes))
           << "pack=" << pack;
+    }
+    kxx::set_pack_size(LICOMK_PACK_SIZE);
+  });
+}
+
+// The packed Zalesak limiter (adv_r_factors) and corrector (adv_correct)
+// against their pack-width-1 scalar body, byte for byte, on a ragged-kmt
+// block. The block covers the surface and bottom planes (where the vertical
+// neighbors drop out), a partial i-tail at every pack width (the dispatch
+// extents are not multiples of 4 or 8), and anti-diffusive fluxes of both
+// signs including exact zeros (land faces and zeroed velocities).
+TEST(Advection, PackedLimiterMatchesScalar) {
+  kxx::initialize({kxx::Backend::Serial, 1, false});
+  Fixture fx;
+  lco::Runtime::run(1, [&](lco::Communicator& c) {
+    lc::LocalGrid g(*fx.global, *fx.dec, 0);
+    lc::OceanState s(g);
+    lh::HaloExchanger ex(*fx.dec, c, 0);
+    set_velocities(g, s, 0.4, 31);
+    // Exactly still water in a band of rows: zero fluxes inside the ocean.
+    for (int k = 0; k < g.nz(); ++k)
+      for (int j = kH + 3; j < kH + 6; ++j)
+        for (int i = 0; i < g.nx_total(); ++i) {
+          s.u_cur.at(k, j, i) = 0.0;
+          s.v_cur.at(k, j, i) = 0.0;
+        }
+    ex.update(s.u_cur, lh::FoldSign::Antisymmetric);
+    ex.update(s.v_cur, lh::FoldSign::Antisymmetric);
+    set_tracer(g, s.t_cur, 9);
+    ex.update(s.t_cur);
+
+    // The block is what the test claims: ragged columns reaching the bottom,
+    // and extents with a partial tail at widths 4 and 8.
+    int kmt_min = g.nz(), kmt_max = 0, partial = 0;
+    for (int j = kH; j < kH + g.ny(); ++j)
+      for (int i = kH; i < kH + g.nx(); ++i) {
+        const int kc = g.kmt(j, i);
+        if (kc > 0) kmt_min = std::min(kmt_min, kc);
+        kmt_max = std::max(kmt_max, kc);
+        if (kc > 0 && kc < g.nz()) ++partial;
+      }
+    ASSERT_EQ(kmt_max, g.nz());
+    ASSERT_LT(kmt_min, g.nz());
+    ASSERT_GT(partial, 0);
+    const int rf_extent = g.nx_total() - 2;       // adv_r_factors: interior + 1 ring
+    const int cr_extent = g.nx_total() - 2 * kH;  // adv_correct: interior
+    for (int w : {4, 8}) {
+      ASSERT_NE(rf_extent % w, 0);
+      ASSERT_NE(cr_extent % w, 0);
+    }
+
+    auto run = [&](int pack, lc::AdvectionWorkspace& ws, lh::BlockField3D& out) {
+      kxx::set_pack_size(pack);
+      lc::compute_volume_fluxes(g, s.u_cur, s.v_cur, ws);
+      lc::advect_tracer_fct(g, 1440.0, s.t_cur, ws, ex, out);
+    };
+    lc::AdvectionWorkspace ref(g);
+    lh::BlockField3D q_ref("q_ref", g.extent(), g.nz());
+    run(1, ref, q_ref);
+
+    long long pos = 0, neg = 0, zero = 0;
+    for (int k = 0; k < g.nz(); ++k)
+      for (int j = kH; j < kH + g.ny(); ++j)
+        for (int i = kH; i < kH + g.nx(); ++i) {
+          if (!g.t_active(k, j, i)) continue;
+          const double a = ref.a_e.at(k, j, i);
+          (a > 0.0 ? pos : a < 0.0 ? neg : zero) += 1;
+        }
+    ASSERT_GT(pos, 0);
+    ASSERT_GT(neg, 0);
+    ASSERT_GT(zero, 0);
+
+    const size_t bytes = q_ref.view().size() * sizeof(double);
+    for (int pack : {4, 8}) {
+      lc::AdvectionWorkspace ws(g);
+      lh::BlockField3D q_out("q_out", g.extent(), g.nz());
+      run(pack, ws, q_out);
+      EXPECT_EQ(0, std::memcmp(ws.r_plus.view().data(), ref.r_plus.view().data(), bytes))
+          << "r_plus pack=" << pack;
+      EXPECT_EQ(0, std::memcmp(ws.r_minus.view().data(), ref.r_minus.view().data(), bytes))
+          << "r_minus pack=" << pack;
+      EXPECT_EQ(0, std::memcmp(q_out.view().data(), q_ref.view().data(), bytes))
+          << "q_out pack=" << pack;
+    }
+    kxx::set_pack_size(LICOMK_PACK_SIZE);
+  });
+}
+
+namespace {
+
+/// The per-tracer column finisher the fused t+s column replaced, kept here
+/// as the reference: one column of one tracer at a time, surface forcing and
+/// the shortwave profile evaluated afresh, its own tridiagonal solve.
+void reference_tracer_column(const lc::LocalGrid& g, const lc::ModelConfig& cfg,
+                             const lc::OceanState& st, int which, double day,
+                             lh::BlockField3D& q) {
+  const double dt = cfg.grid.dt_tracer;
+  const double restore_rate = 1.0 / (cfg.restore_timescale_days * 86400.0);
+  const auto& vg = g.vertical();
+  const double* dz = vg.thicknesses().data();
+  const double* zc = vg.centers().data();
+  const double* iface = vg.interfaces().data();
+  const lh::BlockField3D& q_old = which == 0 ? st.t_cur : st.s_cur;
+  for (int j = kH; j < kH + g.ny(); ++j)
+    for (int i = kH; i < kH + g.nx(); ++i) {
+      const int nlev = g.kmt(j, i);
+      if (nlev == 0) continue;
+      std::vector<double> col(static_cast<size_t>(nlev)), kf(static_cast<size_t>(nlev));
+      for (int k = 0; k < nlev; ++k) {
+        col[static_cast<size_t>(k)] = q.at(k, j, i);
+        kf[static_cast<size_t>(k)] = st.kappa_t.at(k, j, i);
+      }
+      const lc::SurfaceForcing f =
+          lc::climatological_forcing(g.lon_view()(j, i), g.lat_view()(j, i), day);
+      if (which == 0 && cfg.solar_penetration) {
+        const double q0 = f.shortwave / (lc::kRho0 * lc::kCp);
+        for (int k = 0; k < nlev; ++k) {
+          double absorbed = lc::shortwave_fraction(iface[k]) - lc::shortwave_fraction(iface[k + 1]);
+          if (k == nlev - 1) absorbed += lc::shortwave_fraction(iface[nlev]);
+          col[static_cast<size_t>(k)] += dt * q0 * absorbed / dz[k];
+        }
+        col[0] -= dt * q0 / dz[0];
+      }
+      const double target = which == 0 ? f.sst_target + cfg.sst_target_offset_c : f.sss_target;
+      col[0] += dt * restore_rate * (target - q_old.at(0, j, i));
+      lc::implicit_vertical_solve(nlev, dt, kf.data(), dz, zc, col.data());
+      for (int k = 0; k < nlev; ++k) q.at(k, j, i) = col[static_cast<size_t>(k)];
+    }
+}
+
+}  // namespace
+
+// The fused t+s column (one dispatch, one shared factorization, forcing once
+// per column, shortwave from the per-level table) against two per-tracer
+// reference passes, at pack widths 1, 4 and 8, with solar penetration on and
+// off.
+TEST(TracerColumn, FusedPairMatchesPerTracerPasses) {
+  kxx::initialize({kxx::Backend::Serial, 1, false});
+  Fixture fx;
+  lco::Runtime::run(1, [&](lco::Communicator& c) {
+    (void)c;
+    lc::LocalGrid g(*fx.global, *fx.dec, 0);
+    lc::OceanState s(g);
+    set_tracer(g, s.t_cur, 3);
+    set_tracer(g, s.s_cur, 4);
+    set_tracer(g, s.t_new, 5);
+    set_tracer(g, s.s_new, 6);
+    for (int k = 0; k < g.nz(); ++k)
+      for (int j = 0; j < g.ny_total(); ++j)
+        for (int i = 0; i < g.nx_total(); ++i)
+          s.kappa_t.at(k, j, i) = 1e-4 + 5e-3 * (1.0 + noise(k, j, i, 77));
+    const auto sw = lc::shortwave_fraction_table(g.vertical().interfaces());
+    const double day = 200.5;
+    const size_t bytes = s.t_new.view().size() * sizeof(double);
+
+    for (bool solar : {true, false}) {
+      lc::ModelConfig cfg = lc::ModelConfig::testing(8);
+      cfg.solar_penetration = solar;
+      cfg.sst_target_offset_c = 0.25;
+      lh::BlockField3D t_ref("t_ref", g.extent(), g.nz());
+      lh::BlockField3D s_ref("s_ref", g.extent(), g.nz());
+      std::memcpy(t_ref.view().data(), s.t_new.view().data(), bytes);
+      std::memcpy(s_ref.view().data(), s.s_new.view().data(), bytes);
+      reference_tracer_column(g, cfg, s, 0, day, t_ref);
+      reference_tracer_column(g, cfg, s, 1, day, s_ref);
+      for (int pack : {1, 4, 8}) {
+        kxx::set_pack_size(pack);
+        lc::OceanState st(g);
+        std::memcpy(st.t_cur.view().data(), s.t_cur.view().data(), bytes);
+        std::memcpy(st.s_cur.view().data(), s.s_cur.view().data(), bytes);
+        std::memcpy(st.t_new.view().data(), s.t_new.view().data(), bytes);
+        std::memcpy(st.s_new.view().data(), s.s_new.view().data(), bytes);
+        std::memcpy(st.kappa_t.view().data(), s.kappa_t.view().data(), bytes);
+        lc::tracer_columns(g, cfg, st, sw, day);
+        EXPECT_EQ(0, std::memcmp(st.t_new.view().data(), t_ref.view().data(), bytes))
+            << "t pack=" << pack << " solar=" << solar;
+        EXPECT_EQ(0, std::memcmp(st.s_new.view().data(), s_ref.view().data(), bytes))
+            << "s pack=" << pack << " solar=" << solar;
+      }
     }
     kxx::set_pack_size(LICOMK_PACK_SIZE);
   });

@@ -4,10 +4,15 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <numeric>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "comm/runtime.hpp"
+#include "core/column_solve.hpp"
 #include "core/constants.hpp"
 #include "core/dynamics.hpp"
 #include "core/eos.hpp"
@@ -97,6 +102,147 @@ TEST(ImplicitVerticalSolve, SingleLevelIsIdentity) {
   double dz = 10.0, zc = 5.0, kf = 0.1;
   lc::implicit_vertical_solve(1, 3600.0, &kf, &dz, &zc, &x);
   EXPECT_DOUBLE_EQ(x, 7.0);
+}
+
+namespace {
+/// Deterministic pseudo-random in [0, 1).
+double unit_noise(int a, int b, int salt) {
+  unsigned h = static_cast<unsigned>(a) * 73856093u ^ static_cast<unsigned>(b) * 19349663u ^
+               static_cast<unsigned>(salt) * 2654435761u;
+  h ^= h >> 13;
+  h *= 0x5bd1e995u;
+  h ^= h >> 15;
+  return static_cast<double>(h) / 4294967296.0;
+}
+/// The textbook per-column Thomas solve the packed solver must reproduce:
+/// coefficients first, then the forward sweep and back substitution, in
+/// the scalar kernel's op order.
+void reference_thomas(int nlev, double dt, const double* kf, const double* dz, const double* zc,
+                      double* x) {
+  if (nlev <= 1) return;
+  std::vector<double> a(static_cast<size_t>(nlev)), b(a.size()), c(a.size());
+  for (int k = 0; k < nlev; ++k) {
+    double lam_up = 0.0;
+    double lam_dn = 0.0;
+    if (k > 0) lam_up = dt * kf[k - 1] / (dz[k] * (zc[k] - zc[k - 1]));
+    if (k < nlev - 1) lam_dn = dt * kf[k] / (dz[k] * (zc[k + 1] - zc[k]));
+    a[static_cast<size_t>(k)] = -lam_up;
+    b[static_cast<size_t>(k)] = 1.0 + lam_up + lam_dn;
+    c[static_cast<size_t>(k)] = -lam_dn;
+  }
+  for (int k = 1; k < nlev; ++k) {
+    const double m = a[static_cast<size_t>(k)] / b[static_cast<size_t>(k - 1)];
+    b[static_cast<size_t>(k)] -= m * c[static_cast<size_t>(k - 1)];
+    x[k] -= m * x[k - 1];
+  }
+  x[nlev - 1] /= b[static_cast<size_t>(nlev - 1)];
+  for (int k = nlev - 2; k >= 0; --k)
+    x[k] = (x[k] - c[static_cast<size_t>(k)] * x[k + 1]) / b[static_cast<size_t>(k)];
+}
+}  // namespace
+
+// implicit_vertical_solve is the N = 1, one-RHS instance of the packed
+// solver; one pack of columns ending at different depths must reproduce the
+// per-column scalar solves (and the textbook reference) bit for bit, and
+// leave every level below a lane's bottom (and lanes with fewer than two
+// levels) untouched.
+TEST(ImplicitVerticalSolve, PackedLanesMatchScalarBitwise) {
+  constexpr int kN = 8;
+  const int nz = 12;
+  const int nlev[kN] = {0, 1, 2, nz - 1, nz, 3, nz, 5};
+  std::vector<double> dz(nz), zc(nz);
+  double top = 0.0;
+  for (int k = 0; k < nz; ++k) {
+    dz[static_cast<size_t>(k)] = 10.0 + 5.0 * k;
+    zc[static_cast<size_t>(k)] = top + 0.5 * dz[static_cast<size_t>(k)];
+    top += dz[static_cast<size_t>(k)];
+  }
+  // Below a lane's bottom the solution is NaN and the faces are infinite:
+  // those values are read (the sweep runs to the deepest lane) but must
+  // never reach a live level or be written.
+  std::vector<double> kf(static_cast<size_t>(nz) * kN), x(static_cast<size_t>(nz) * kN);
+  for (int k = 0; k < nz; ++k)
+    for (int l = 0; l < kN; ++l) {
+      kf[static_cast<size_t>(k * kN + l)] = k < nlev[l] - 1
+                                                ? 1e-4 + 0.05 * unit_noise(k, l, 1)
+                                                : std::numeric_limits<double>::infinity();
+      x[static_cast<size_t>(k * kN + l)] = k < nlev[l] ? 20.0 * unit_noise(k, l, 2) - 5.0
+                                                       : std::numeric_limits<double>::quiet_NaN();
+    }
+  std::vector<double> want = x;
+  for (int l = 0; l < kN; ++l) {
+    std::vector<double> col(static_cast<size_t>(nz)), kcol(static_cast<size_t>(nz));
+    for (int k = 0; k < nz; ++k) {
+      col[static_cast<size_t>(k)] = x[static_cast<size_t>(k * kN + l)];
+      kcol[static_cast<size_t>(k)] = kf[static_cast<size_t>(k * kN + l)];
+    }
+    std::vector<double> ref = col;
+    reference_thomas(nlev[l], 3600.0, kcol.data(), dz.data(), zc.data(), ref.data());
+    lc::implicit_vertical_solve(nlev[l], 3600.0, kcol.data(), dz.data(), zc.data(), col.data());
+    EXPECT_EQ(0, std::memcmp(col.data(), ref.data(), col.size() * sizeof(double))) << l;
+    for (int k = 0; k < nz; ++k)
+      want[static_cast<size_t>(k * kN + l)] = col[static_cast<size_t>(k)];
+  }
+  double* const rhs[1] = {x.data()};
+  lc::implicit_vertical_solve_packed<kN, 1>(nlev, 3600.0, kf.data(), dz.data(), zc.data(), rhs);
+  EXPECT_EQ(0, std::memcmp(x.data(), want.data(), x.size() * sizeof(double)));
+  // The solve did something on the deep lanes (not a vacuous comparison).
+  EXPECT_NE(want[static_cast<size_t>(4)], 20.0 * unit_noise(0, 4, 2) - 5.0);
+}
+
+// Two right-hand sides share one factorization; each must match its own
+// scalar solve bit for bit.
+TEST(ImplicitVerticalSolve, TwoRhsMatchTwoScalarSolves) {
+  constexpr int kN = 4;
+  const int nz = 9;
+  const int nlev[kN] = {nz, 2, 7, 0};
+  std::vector<double> dz(nz, 25.0), zc(nz);
+  for (int k = 0; k < nz; ++k) zc[static_cast<size_t>(k)] = 25.0 * k + 12.5;
+  const size_t n = static_cast<size_t>(nz) * kN;
+  std::vector<double> kf(n), u(n), v(n);
+  for (size_t e = 0; e < n; ++e) {
+    kf[e] = 1e-3 + 0.1 * unit_noise(static_cast<int>(e), 0, 3);
+    u[e] = unit_noise(static_cast<int>(e), 1, 4) - 0.5;
+    v[e] = -0.25 + 0.5 * unit_noise(static_cast<int>(e), 2, 5);
+  }
+  std::vector<double> u_want = u, v_want = v;
+  for (int l = 0; l < kN; ++l) {
+    std::vector<double> cu(static_cast<size_t>(nz)), cv(static_cast<size_t>(nz)),
+        ck(static_cast<size_t>(nz));
+    for (int k = 0; k < nz; ++k) {
+      cu[static_cast<size_t>(k)] = u[static_cast<size_t>(k * kN + l)];
+      cv[static_cast<size_t>(k)] = v[static_cast<size_t>(k * kN + l)];
+      ck[static_cast<size_t>(k)] = kf[static_cast<size_t>(k * kN + l)];
+    }
+    lc::implicit_vertical_solve(nlev[l], 2880.0, ck.data(), dz.data(), zc.data(), cu.data());
+    lc::implicit_vertical_solve(nlev[l], 2880.0, ck.data(), dz.data(), zc.data(), cv.data());
+    for (int k = 0; k < nz; ++k) {
+      u_want[static_cast<size_t>(k * kN + l)] = cu[static_cast<size_t>(k)];
+      v_want[static_cast<size_t>(k * kN + l)] = cv[static_cast<size_t>(k)];
+    }
+  }
+  double* const rhs[2] = {u.data(), v.data()};
+  lc::implicit_vertical_solve_packed<kN, 2>(nlev, 2880.0, kf.data(), dz.data(), zc.data(), rhs);
+  EXPECT_EQ(0, std::memcmp(u.data(), u_want.data(), n * sizeof(double)));
+  EXPECT_EQ(0, std::memcmp(v.data(), v_want.data(), n * sizeof(double)));
+
+  // The same two RHS through a one-lane pack: the scalar layout.
+  for (int l = 0; l < kN; ++l) {
+    std::vector<double> cu(static_cast<size_t>(nz)), cv(static_cast<size_t>(nz)),
+        ck(static_cast<size_t>(nz));
+    for (int k = 0; k < nz; ++k) {
+      cu[static_cast<size_t>(k)] = u_want[static_cast<size_t>(k * kN + l)];
+      ck[static_cast<size_t>(k)] = kf[static_cast<size_t>(k * kN + l)];
+    }
+    cv = cu;
+    std::vector<double> single = cu;
+    lc::implicit_vertical_solve(nlev[l], 900.0, ck.data(), dz.data(), zc.data(), single.data());
+    const int one[1] = {nlev[l]};
+    double* const pair[2] = {cu.data(), cv.data()};
+    lc::implicit_vertical_solve_packed<1, 2>(one, 900.0, ck.data(), dz.data(), zc.data(), pair);
+    EXPECT_EQ(0, std::memcmp(cu.data(), single.data(), cu.size() * sizeof(double))) << l;
+    EXPECT_EQ(0, std::memcmp(cv.data(), single.data(), cv.size() * sizeof(double))) << l;
+  }
 }
 
 namespace {
@@ -212,6 +358,53 @@ TEST(Dynamics, FusedTendencyMeansBitIdentical) {
           << "gu_bar pack=" << pack;
       EXPECT_EQ(0, std::memcmp(gv_ref.view().data(), gv_f.view().data(), bytes2))
           << "gv_bar pack=" << pack;
+    }
+    kxx::set_pack_size(LICOMK_PACK_SIZE);
+  });
+}
+
+// The bclinc column packed across i (u and v sharing one factorization of
+// the corner-averaged kappa_m system) vs the pack-width-1 scalar body: every
+// byte of u_new/v_new and of the Asselin-filtered u_cur/v_cur.
+TEST(Dynamics, PackedBaroclinicColumnBitIdentical) {
+  kxx::initialize({kxx::Backend::Serial, 1, false});
+  ModelFixture fx;
+  lco::Runtime::run(1, [&](lco::Communicator& c) {
+    lc::LicomModel m(fx.cfg, fx.global, c);
+    m.step();
+    m.step();  // nonzero velocities, tendencies and viscosity everywhere
+    const auto& g = m.local_grid();
+    const auto& s0 = m.state();
+    licomk::halo::BlockField2D ua("ua", g.extent()), va("va", g.extent());
+    for (int j = 0; j < g.ny_total(); ++j)
+      for (int i = 0; i < g.nx_total(); ++i) {
+        ua.at(j, i) = 0.01 * std::sin(0.3 * i + 0.1 * j);
+        va.at(j, i) = 0.01 * std::cos(0.2 * i - 0.4 * j);
+      }
+    const std::size_t bytes3 = static_cast<std::size_t>(g.nz()) * g.ny_total() *
+                               g.nx_total() * sizeof(double);
+    auto run = [&](int pack) {
+      auto st = std::make_unique<lc::OceanState>(g);
+      for (auto [dst, src] : {std::pair{&st->u_old, &s0.u_old}, {&st->v_old, &s0.v_old},
+                              {&st->u_cur, &s0.u_cur}, {&st->v_cur, &s0.v_cur},
+                              {&st->fu_tend, &s0.fu_tend}, {&st->fv_tend, &s0.fv_tend},
+                              {&st->kappa_m, &s0.kappa_m}})
+        std::memcpy(dst->view().data(), src->view().data(), bytes3);
+      kxx::fill(st->u_new.view(), 7.0);  // stale values the column must clear
+      kxx::fill(st->v_new.view(), -7.0);
+      kxx::set_pack_size(pack);
+      lc::baroclinic_update(g, fx.cfg, *st, ua, va);
+      return st;
+    };
+    auto ref = run(1);
+    for (int pack : {4, 8}) {
+      auto st = run(pack);
+      for (auto [a, b, name] : {std::tuple{&ref->u_new, &st->u_new, "u_new"},
+                                {&ref->v_new, &st->v_new, "v_new"},
+                                {&ref->u_cur, &st->u_cur, "u_cur"},
+                                {&ref->v_cur, &st->v_cur, "v_cur"}})
+        EXPECT_EQ(0, std::memcmp(a->view().data(), b->view().data(), bytes3))
+            << name << " pack=" << pack;
     }
     kxx::set_pack_size(LICOMK_PACK_SIZE);
   });

@@ -200,6 +200,25 @@ TEST(Model, PackFusionCrcMatrixMultiRank) {
   kxx::initialize(kxx::config_from_env({kxx::Backend::Serial, 1, false}));
 }
 
+// Strict AthreadSim (no MPE fallback) runs whole steps: every kernel a step
+// dispatches — the packed limiter and column functors included, which lower
+// to their scalar pack_op<1> bodies there — is registered, and the state
+// matches the packed Serial run bit for bit.
+TEST(Model, StrictAthreadSimStepMatchesSerial) {
+  kxx::initialize({kxx::Backend::Serial, 1, false});
+  lc::LicomModel serial(small_config());
+  for (int n = 0; n < 3; ++n) serial.step();
+  const StateSig ref = state_signature(serial);
+
+  kxx::initialize({kxx::Backend::AthreadSim, 1, /*athread_strict=*/true});
+  {
+    lc::LicomModel athread(small_config());
+    EXPECT_NO_THROW(for (int n = 0; n < 3; ++n) athread.step());
+    EXPECT_TRUE(state_signature(athread) == ref);
+  }
+  kxx::initialize(kxx::config_from_env({kxx::Backend::Serial, 1, false}));
+}
+
 TEST(Model, BackendsAgreeOnPhysics) {
   // The same run on Serial vs AthreadSim backends: the registered kernels
   // execute through completely different dispatch paths but must produce the

@@ -6,8 +6,10 @@
 // staging pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -112,6 +114,49 @@ TEST(Pack, MathWrappersMatchScalarExpressions) {
     EXPECT_EQ(fm[l], a[l] * b[l] + c[l]);
     EXPECT_EQ(mn[l], a[l] < b[l] ? a[l] : b[l]);
     EXPECT_EQ(mx[l], a[l] > b[l] ? a[l] : b[l]);
+  }
+
+  // min/max follow std::min/std::max bit for bit where the naive forms
+  // differ: signed zeros, NaN in either operand, and equal values (which
+  // operand comes back). The FCT limiter relies on this to swap its std::
+  // calls for the pack wrappers.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double x[8] = {0.0, -0.0, nan, 1.0, 2.5, nan, -3.0, 0.0};
+  const double y[8] = {-0.0, 0.0, 1.0, nan, 2.5, nan, -3.0, 0.0};
+  P8 px, py;
+  for (int l = 0; l < 8; ++l) {
+    px[l] = x[l];
+    py[l] = y[l];
+  }
+  auto same_bits = [](double u, double v) { return std::memcmp(&u, &v, sizeof u) == 0; };
+  const P8 mn2 = kxx::min(px, py);
+  const P8 mx2 = kxx::max(px, py);
+  for (int l = 0; l < 8; ++l) {
+    EXPECT_TRUE(same_bits(mn2[l], std::min(x[l], y[l]))) << "min lane " << l;
+    EXPECT_TRUE(same_bits(mx2[l], std::max(x[l], y[l]))) << "max lane " << l;
+  }
+  // The initializer-list forms fold left in argument order.
+  const P8 mx3 = kxx::max(kxx::max(px, py), a);
+  const P8 mn3 = kxx::min(kxx::min(px, py), a);
+  for (int l = 0; l < 8; ++l) {
+    EXPECT_TRUE(same_bits(mx3[l], std::max({x[l], y[l], a[l]}))) << "max3 lane " << l;
+    EXPECT_TRUE(same_bits(mn3[l], std::min({x[l], y[l], a[l]}))) << "min3 lane " << l;
+  }
+}
+
+TEST(Pack, SelectOnIntMaskKeepsExactBits) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  P8 a, b;
+  int m[8];
+  for (int l = 0; l < 8; ++l) {
+    a[l] = l % 3 == 0 ? -0.0 : (l == 5 ? nan : 1.0 + l);
+    b[l] = l % 2 == 0 ? 0.0 : -2.0 * l;
+    m[l] = l % 2 == 0 ? 7 : 0;  // any nonzero lane selects a
+  }
+  const P8 r = kxx::select(m, a, b);
+  for (int l = 0; l < 8; ++l) {
+    const double want = m[l] ? a[l] : b[l];
+    EXPECT_EQ(0, std::memcmp(&r.d[l], &want, sizeof want)) << "lane " << l;
   }
 }
 
