@@ -170,10 +170,13 @@ static void BM_TracerLimiterColumns(benchmark::State& state) {
   licomk::halo::BlockField2D ubar("ubar_avg", g.extent());
   licomk::halo::BlockField2D vbar("vbar_avg", g.extent());
   lc::compute_volume_fluxes(g, s.u_cur, s.v_cur, ws);
+  licomk::halo::PersistentGroup qtd_group(m.exchanger(), lc::LicomModel::kHaloTagBlocks);
+  qtd_group.add(ws.q_td);
+  qtd_group.add(scratch.q_td);
   kxx::set_pack_size(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     lc::advect_tracer_pair(g, m.config().grid.dt_tracer, s.t_cur, s.s_cur, ws, scratch,
-                           m.exchanger(), s.t_new, s.s_new, /*fuse_low_order=*/true);
+                           qtd_group, s.t_new, s.s_new, /*fuse_low_order=*/true);
     lc::tracer_columns(g, m.config(), s, sw, 0.0);
     lc::baroclinic_update(g, m.config(), s, ubar, vbar);
   }

@@ -1,40 +1,20 @@
 #!/usr/bin/env bash
-# Halo configuration matrix: run every halo-touching test suite under all four
-# combinations of LICOMK_BATCH_HALO x LICOMK_PERSISTENT_HALO.
-#
-# ModelConfig::testing() honors those env vars, so the same binaries exercise:
-#   0/0  per-field exchanges (ablation baseline)
-#   0/1  persistent requested but degraded to per-field (batching off)
-#   1/0  aggregated batched exchanges (PR-5 path)
-#   1/1  batched + persistent subcycle engine (the default)
-# Tests that pin the flags explicitly (e.g. the bit-identity comparisons) stay
-# deterministic regardless of the env; the rest follow the matrix cell.
-#
-# The model suite additionally sweeps LICOMK_PACK_SIZE in {1,4,8} inside every
-# halo cell: pack-width dispatch must compose with halo batching and the
-# persistent subcycle engine (the CRC matrix tests inside test_model then
-# prove bit-identity on top of whatever cell the env selected).
+# Halo pack-width matrix: run the halo suites, then the model suite under
+# LICOMK_PACK_SIZE in {1,4,8}. Pack-width dispatch must compose with the halo
+# group engine (the CRC matrix tests inside test_model then prove
+# bit-identity at whatever pack width the env selected).
 #
 # Usage: ci/halo_matrix.sh [build-dir]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build-ci-release}"
-SUITES=(test_halo test_exchange_group test_persistent_group)
 
-for batch in 0 1; do
-  for persist in 0 1; do
-    echo "=== LICOMK_BATCH_HALO=$batch LICOMK_PERSISTENT_HALO=$persist ==="
-    for suite in "${SUITES[@]}"; do
-      LICOMK_BATCH_HALO=$batch LICOMK_PERSISTENT_HALO=$persist \
-        "$BUILD_DIR/tests/$suite" --gtest_brief=1
-    done
-    for pack in 1 4 8; do
-      echo "--- test_model (LICOMK_PACK_SIZE=$pack) ---"
-      LICOMK_BATCH_HALO=$batch LICOMK_PERSISTENT_HALO=$persist \
-        LICOMK_PACK_SIZE=$pack \
-        "$BUILD_DIR/tests/test_model" --gtest_brief=1
-    done
-  done
+for suite in test_halo test_exchange_group test_persistent_group; do
+  "$BUILD_DIR/tests/$suite" --gtest_brief=1
 done
-echo "halo matrix: all 4 batch x persistent combinations passed (x3 pack widths on the model suite)"
+for pack in 1 4 8; do
+  echo "--- test_model (LICOMK_PACK_SIZE=$pack) ---"
+  LICOMK_PACK_SIZE=$pack "$BUILD_DIR/tests/test_model" --gtest_brief=1
+done
+echo "halo matrix: halo suites passed, model suite passed at 3 pack widths"

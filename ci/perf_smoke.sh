@@ -41,15 +41,10 @@ python3 ci/check_ldm_staging.py "$OUT_DIR/metrics.json"
 # path silently lowering to scalar or a fusion regression).
 python3 ci/check_pack_fusion.py "$OUT_DIR/bench_smoke.json"
 
-# Halo batching + persistent subcycle engine: the same small 4-rank model with
-# aggregated vs per-field vs persistent exchanges (CRC on everywhere). Gate on
-# >= 3x overall message reduction (batched vs per-field), >= 2x barotropic
-# subcycle message reduction (persistent vs batched), identical final state
-# CRCs across all three modes, and zero CRC failures.
-mkdir -p "$OUT_DIR/halo-batched" "$OUT_DIR/halo-perfield" "$OUT_DIR/halo-persistent"
-"$BUILD_DIR/examples/halo_batching_smoke" batched "$OUT_DIR/halo-batched"
-"$BUILD_DIR/examples/halo_batching_smoke" perfield "$OUT_DIR/halo-perfield"
-"$BUILD_DIR/examples/halo_batching_smoke" persistent "$OUT_DIR/halo-persistent"
-python3 ci/check_halo_batching.py \
-  "$OUT_DIR/halo-batched/metrics.json" "$OUT_DIR/halo-perfield/metrics.json" \
-  "$OUT_DIR/halo-persistent/metrics.json"
+# Halo aggregation: the small 4-rank model through the group engine with CRC
+# on everywhere. Gate on >= 3x whole-step and >= 2x barotropic subcycle
+# message reduction against the per-field equivalent the same run retires,
+# subcycle plan-cache engagement, and zero CRC failures.
+mkdir -p "$OUT_DIR/halo"
+"$BUILD_DIR/examples/halo_batching_smoke" "$OUT_DIR/halo"
+python3 ci/check_halo_batching.py "$OUT_DIR/halo/metrics.json"

@@ -2,19 +2,24 @@
 //
 // Four drills, selected with --scenario (ci/resilience_soak.sh runs all):
 //
-// default — the ISSUE-2 drill: derive a fault schedule from a fixed seed with
-// three TRANSIENT faults — one communication message drop, one DMA transfer
-// error, one torn checkpoint — then let the run supervisor ride them out and
-// prove the recovered run is bit-for-bit identical to a fault-free twin.
-// Placement is deterministic by construction:
-//   * comm drop — a fault-free probe run first records the cumulative
-//     communicator-message count at every step boundary, so the drop lands
-//     (seed-jittered) in the middle of step 6 of attempt 1: after the
-//     generation-1 checkpoint, so recovery restores rather than cold-starts.
+// The comm drills (default, detect) run on 2 ranks so every step has a real
+// wire: on one rank every halo group exchange is a local self-copy that never
+// reaches comm::World::deliver, so a comm fault would have nothing to hit.
+//
+// default — derive a fault schedule from a fixed seed with three TRANSIENT
+// faults — one communication message drop, one DMA transfer error, one torn
+// checkpoint — then let the run supervisor ride them out and prove the
+// recovered run is bit-for-bit identical to a fault-free twin. Placement is
+// deterministic by construction:
+//   * comm drop — a fault-free probe run first records rank 0's cumulative
+//     delivery count at every step boundary, so the drop of one of rank 0's
+//     messages lands (seed-jittered) in the middle of step 6 of attempt 1:
+//     after the generation-1 checkpoint, so recovery restores rather than
+//     cold-starts.
 //   * torn checkpoint — the restart.write hook is keyed on the generation
 //     id, so "generation 2" (written at step 8 of attempt 2) is targeted
 //     directly; the file is silently truncated after its atomic rename.
-//   * DMA error — the rank body stages a slab of the temperature field
+//   * DMA error — rank 0's body stages a slab of the temperature field
 //     through a swsim::DmaEngine before every step (the LDM staging a real
 //     CPE pipeline performs), so DMA op N == "start of the Nth executed
 //     step" across attempts. The fault is placed at the start of a
@@ -33,7 +38,7 @@
 // redistributed state and finish. The final state's per-field global CRCs
 // are exported to metrics.json as counters "soak.final_crc.<field>".
 //
-// detect — the silent-corruption drill on 1 rank with halo CRC verification
+// detect — the silent-corruption drill on 2 ranks with halo CRC verification
 // on (model.verify_halo_crc): a comm.payload bit-flip corrupts the very
 // first halo message (detected as CommError by the receiver's CRC check,
 // counted in resilience.halo_crc_failures), and an ldm inflate blows up a
@@ -52,6 +57,7 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -85,23 +91,37 @@ lc::ModelConfig soak_config() {
   return cfg;
 }
 
-/// Fault-free probe: reference diagnostics plus cumulative comm op counts.
+/// Ranks of the comm drills (default, detect): see the header.
+constexpr int kCommDrillRanks = 2;
+
+/// Fault-free probe: reference diagnostics plus rank 0's cumulative delivery
+/// counts.
 struct Probe {
-  std::vector<std::uint64_t> comm_after_step;  ///< world messages after step s (1-based s)
+  std::vector<std::uint64_t> comm_after_step;  ///< rank-0 deliveries after step s (1-based s)
   lc::GlobalDiagnostics reference{};
 };
 
+/// Fault-free kCommDrillRanks run, armed with a never-firing sentinel so the
+/// injector's per-rank delivery counters tick; disarms on return.
 Probe probe_run(const lc::ModelConfig& cfg, long long target_steps) {
+  lr::FaultSchedule sentinel;
+  sentinel.add({lr::FaultSite::CommDeliver, lr::FaultKind::CrashRank, 0,
+                std::numeric_limits<std::uint64_t>::max(), 0.0});
+  lr::arm(sentinel);
   Probe p;
   auto global = std::make_shared<licomk::grid::GlobalGrid>(cfg.grid, cfg.bathymetry_seed);
-  lco::World world(1);
-  auto c = world.communicator(0);
-  lc::LicomModel m(cfg, global, c);
-  for (long long s = 1; s <= target_steps; ++s) {
-    m.step();
-    p.comm_after_step.push_back(world.total_messages());
-  }
-  p.reference = m.diagnostics();
+  lco::Runtime::run(kCommDrillRanks, [&](lco::Communicator& c) {
+    lc::LicomModel m(cfg, global, c);
+    for (long long s = 1; s <= target_steps; ++s) {
+      m.step();
+      if (c.rank() == 0) {
+        p.comm_after_step.push_back(lr::op_count(lr::FaultSite::CommDeliver, 0));
+      }
+    }
+    const auto d = m.diagnostics();
+    if (c.rank() == 0) p.reference = d;
+  });
+  lr::disarm();
   return p;
 }
 
@@ -159,7 +179,7 @@ int run_default(std::uint64_t seed, long long target_steps, const std::string& o
   const long long dma_step = 9 + static_cast<long long>(rng.range(0, 2));  // model step 9..11
   const std::uint64_t dma_op = static_cast<std::uint64_t>(drop_step + (dma_step - cadence));
   lr::FaultSchedule schedule;
-  schedule.add({lr::FaultSite::CommDeliver, lr::FaultKind::DropMessage, -1,
+  schedule.add({lr::FaultSite::CommDeliver, lr::FaultKind::DropMessage, /*rank=*/0,
                 mid_step_op(probe.comm_after_step, drop_step, rng), 0.0});
   schedule.add({lr::FaultSite::RestartWrite, lr::FaultKind::TornWrite, -1, 2, 0.5});
   schedule.add({lr::FaultSite::DmaTransfer, lr::FaultKind::DmaError, -1, dma_op, 0.0});
@@ -169,7 +189,7 @@ int run_default(std::uint64_t seed, long long target_steps, const std::string& o
 
   std::filesystem::remove_all(ckpt_dir);
   lr::SupervisorOptions opts;
-  opts.nranks = 1;
+  opts.nranks = kCommDrillRanks;
   opts.checkpoint_dir = ckpt_dir;
   opts.checkpoint_every_steps = cadence;
   opts.keep_generations = 8;
@@ -178,14 +198,19 @@ int run_default(std::uint64_t seed, long long target_steps, const std::string& o
   lc::GlobalDiagnostics healed{};
   std::vector<double> ldm_slab(256, 0.0);
   const auto report = supervisor.run(cfg, [&](lc::LicomModel& m) {
+    const bool root = m.communicator().rank() == 0;
     licomk::swsim::DmaEngine dma;
     while (m.steps_taken() < target_steps) {
       // Stage a slab of the temperature field into "LDM" the way the CPE
       // pipeline would; this is the hook site for the injected DMA error.
-      dma.get(ldm_slab.data(), m.state().t_cur.view().data(), ldm_slab.size() * sizeof(double));
+      if (root) {
+        dma.get(ldm_slab.data(), m.state().t_cur.view().data(),
+                ldm_slab.size() * sizeof(double));
+      }
       m.step();
     }
-    healed = m.diagnostics();
+    const auto d = m.diagnostics();
+    if (root) healed = d;
   });
   lr::disarm();
 
@@ -520,7 +545,7 @@ int run_detect(std::uint64_t seed, long long target_steps, const std::string& ou
 
   std::filesystem::remove_all(ckpt_dir);
   lr::SupervisorOptions opts;
-  opts.nranks = 1;
+  opts.nranks = kCommDrillRanks;
   opts.checkpoint_dir = ckpt_dir;
   opts.checkpoint_every_steps = cadence;
   opts.keep_generations = 8;
@@ -528,14 +553,21 @@ int run_detect(std::uint64_t seed, long long target_steps, const std::string& ou
   lr::Supervisor supervisor(opts);
   lc::GlobalDiagnostics healed{};
   const auto report = supervisor.run(cfg, [&](lc::LicomModel& m) {
+    const bool root = m.communicator().rank() == 0;
     while (m.steps_taken() < target_steps) {
-      // Stage scratch through every CPE's LDM the way a kernel launch would;
-      // this is the hook site for the injected allocation inflation.
-      sw::athread_spawn(&ldm_stage_kernel, nullptr);
-      sw::athread_join();
+      // Rank 0 stages scratch through every CPE's LDM the way a kernel
+      // launch would; this is the hook site for the injected allocation
+      // inflation. The core group is shared with both ranks' kernels, so the
+      // spawn takes kxx's dispatch lock like any kernel launch.
+      if (root) {
+        std::lock_guard<std::mutex> lock(kxx::detail::dispatch_mutex());
+        sw::athread_spawn(&ldm_stage_kernel, nullptr);
+        sw::athread_join();
+      }
       m.step();
     }
-    healed = m.diagnostics();
+    const auto d = m.diagnostics();
+    if (root) healed = d;
   });
   lr::disarm();
 

@@ -16,6 +16,7 @@
 #include "core/field_ref.hpp"
 #include "core/local_grid.hpp"
 #include "halo/halo_exchange.hpp"
+#include "halo/persistent_group.hpp"
 
 namespace licomk::core {
 
@@ -64,11 +65,13 @@ struct TracerAdvScratch {
   explicit TracerAdvScratch(const LocalGrid& g);
 };
 
-/// Advect two tracers through the same fluxes, batching the two provisional
-/// q_td halo updates into ONE aggregated exchange (halo::ExchangeGroup) that
-/// overlaps both tracers' anti-diffusive flux kernels. Bit-identical to two
-/// sequential advect_tracer_fct calls (asserted in test_advection); tracer
-/// `qa` uses the workspace scratch, `qb` the TracerAdvScratch.
+/// Advect two tracers through the same fluxes, exchanging the two provisional
+/// q_td fields through ONE fused group exchange that overlaps both tracers'
+/// anti-diffusive flux kernels. `qtd_group` must enroll exactly
+/// (ws.q_td, scratch.q_td); its cached plan is reused every call.
+/// Bit-identical to two sequential advect_tracer_fct calls (asserted in
+/// test_advection); tracer `qa` uses the workspace scratch, `qb` the
+/// TracerAdvScratch.
 ///
 /// `fuse_low_order` runs BOTH tracers' monotone predictors as one fused,
 /// packed sweep (FusedLowOrderPairK): the volume-flux loads fe/fn/w are
@@ -77,7 +80,7 @@ struct TracerAdvScratch {
 /// AthreadSim backend (ci/check_ldm_staging.py gates on the unfused labels).
 void advect_tracer_pair(const LocalGrid& g, double dt, const halo::BlockField3D& qa,
                         const halo::BlockField3D& qb, AdvectionWorkspace& ws,
-                        TracerAdvScratch& scratch, halo::HaloExchanger& exchanger,
+                        TracerAdvScratch& scratch, halo::PersistentGroup& qtd_group,
                         halo::BlockField3D& qa_out, halo::BlockField3D& qb_out,
                         bool fuse_low_order = false);
 

@@ -8,7 +8,6 @@
 #include "core/eos.hpp"
 #include "core/field_ref.hpp"
 #include "core/forcing.hpp"
-#include "halo/exchange_group.hpp"
 #include "kxx/kxx.hpp"
 
 namespace licomk::core {
@@ -787,10 +786,9 @@ void compute_tendency_means_fused(const LocalGrid& g, const ModelConfig& cfg,
 }
 
 void run_barotropic(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
-                    halo::HaloExchanger& exchanger, const PolarFilter& filter,
-                    const halo::BlockField2D& gu_bar, const halo::BlockField2D& gv_bar,
-                    halo::BlockField2D& ubar_avg, halo::BlockField2D& vbar_avg,
-                    halo::PersistentGroup* subcycle_group) {
+                    const PolarFilter& filter, const halo::BlockField2D& gu_bar,
+                    const halo::BlockField2D& gv_bar, halo::BlockField2D& ubar_avg,
+                    halo::BlockField2D& vbar_avg, halo::PersistentGroup& subcycle_group) {
   const int nsub = cfg.grid.barotropic_substeps();
   const double dtb = cfg.grid.dt_barotropic;
   const double* iface = g.vertical().interfaces().data();
@@ -799,23 +797,15 @@ void run_barotropic(const LocalGrid& g, const ModelConfig& cfg, OceanState& stat
   kxx::fill(vbar_avg.view(), 0.0);
   const double weight = 1.0 / nsub;
 
-  // The three prognostic 2-D fields travel as ONE aggregated message per
-  // neighbor per phase every substep (§V-D message-count reduction). The
-  // group enrolls the field objects once; the rotation below swaps buffers
-  // between them, which the group re-resolves at each exchange. When the
-  // caller supplies a PersistentGroup the per-call ExchangeGroup is not used
-  // at all — the persistent plan is reused across substeps AND baroclinic
-  // steps.
-  halo::ExchangeGroup group(exchanger);
-  if (subcycle_group == nullptr) {
-    group.add(state.eta_cur, halo::FoldSign::Symmetric);
-    group.add(state.ubar_cur, halo::FoldSign::Antisymmetric);
-    group.add(state.vbar_cur, halo::FoldSign::Antisymmetric);
-  }
+  // The three prognostic 2-D fields travel as ONE fused message per peer per
+  // phase every substep (§V-D message-count reduction), through the
+  // caller's group: its cached plan is reused across substeps AND baroclinic
+  // steps. The rotation below swaps buffers between the enrolled field
+  // objects, which the group re-resolves at each exchange.
   const std::vector<FilteredField> filtered = {
-      FilteredField(state.eta_cur, halo::FoldSign::Symmetric, /*conservative=*/true),
-      FilteredField(state.ubar_cur, halo::FoldSign::Antisymmetric, false),
-      FilteredField(state.vbar_cur, halo::FoldSign::Antisymmetric, false),
+      FilteredField(state.eta_cur, /*conservative=*/true),
+      FilteredField(state.ubar_cur, false),
+      FilteredField(state.vbar_cur, false),
   };
 
   for (int sub = 0; sub < nsub; ++sub) {
@@ -852,30 +842,22 @@ void run_barotropic(const LocalGrid& g, const ModelConfig& cfg, OceanState& stat
     state.vbar_new.mark_dirty();
     state.rotate_barotropic();
 
-    // Aggregated 2-D halo update every substep (velocities flip across the
-    // fold; each field keeps its own FoldSign inside the batch).
-    if (subcycle_group != nullptr) {
-      // Persistent path. When the filter is active, the only ghost reads
-      // between here and the filter's closing full exchange are the zonal
-      // smoothing stencil's east/west columns — so the main substep update
-      // ships only the zonal phase, and the filter's final exchange rebuilds
-      // every ghost (meridional, fold, corners) from interior data before
-      // the next substep's kernels run. Bit-identical, fewer messages.
-      if (filter.active()) {
-        subcycle_group->exchange_zonal();
-      } else {
-        subcycle_group->exchange();
-      }
-      filter.apply(filtered, *subcycle_group);
+    // Fused 2-D halo update every substep (velocities flip across the fold;
+    // each field keeps its own FoldSign inside the group). When the polar
+    // filter is active, the only ghost reads between here and the filter's
+    // closing full exchange are the zonal smoothing stencil's east/west
+    // columns — so the main substep update ships only the zonal phase, and
+    // the filter's final exchange rebuilds every ghost (meridional, fold,
+    // corners) from interior data before the next substep's kernels run.
+    // Bit-identical, fewer messages. The filter damps the grid-scale
+    // gravity-wave modes that exceed the explicit CFL limit near the fold
+    // (volume-conservative on eta).
+    if (filter.active()) {
+      subcycle_group.exchange_zonal();
     } else {
-      group.exchange();
-
-      // Polar zonal filter: damp the grid-scale gravity-wave modes that
-      // exceed the explicit CFL limit near the fold. Volume-conservative on
-      // eta. The batched form exchanges all three fields per pass in one
-      // message per neighbor (zonal-only between passes).
-      filter.apply(filtered, exchanger);
+      subcycle_group.exchange();
     }
+    filter.apply(filtered, subcycle_group);
 
     // Accumulate the sub-cycle average used to anchor the baroclinic mean.
     dyn::AccumulateK2D accu{cref(state.ubar_cur), mref(ubar_avg), weight};

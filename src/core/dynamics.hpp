@@ -10,7 +10,7 @@
 #include "core/model_config.hpp"
 #include "core/polar_filter.hpp"
 #include "core/state.hpp"
-#include "halo/halo_exchange.hpp"
+#include "halo/persistent_group.hpp"
 
 namespace licomk::core {
 
@@ -60,18 +60,15 @@ void compute_tendency_means_fused(const LocalGrid& g, const ModelConfig& cfg,
 /// limit without it), and returns the sub-cycle-averaged barotropic velocity
 /// in (ubar_avg, vbar_avg).
 ///
-/// When `subcycle_group` is non-null it must be a PersistentGroup enrolling
-/// exactly (eta_cur, ubar_cur, vbar_cur) with the signs used here; the
-/// substep exchanges then run through the cached persistent plan instead of
-/// a per-call ExchangeGroup, and — when the filter is active — the main
-/// per-substep exchange is zonal-only (the filter's closing full exchange
-/// rebuilds every ghost before anything reads meridional/fold halos).
-/// Bit-identical either way.
+/// `subcycle_group` must enroll exactly (eta_cur, ubar_cur, vbar_cur) with
+/// the signs used here (Symmetric, Antisymmetric, Antisymmetric); when the
+/// filter is active the main per-substep exchange is zonal-only (the
+/// filter's closing full exchange rebuilds every ghost before anything reads
+/// meridional/fold halos).
 void run_barotropic(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
-                    halo::HaloExchanger& exchanger, const PolarFilter& filter,
-                    const halo::BlockField2D& gu_bar, const halo::BlockField2D& gv_bar,
-                    halo::BlockField2D& ubar_avg, halo::BlockField2D& vbar_avg,
-                    halo::PersistentGroup* subcycle_group = nullptr);
+                    const PolarFilter& filter, const halo::BlockField2D& gu_bar,
+                    const halo::BlockField2D& gv_bar, halo::BlockField2D& ubar_avg,
+                    halo::BlockField2D& vbar_avg, halo::PersistentGroup& subcycle_group);
 
 /// bclinc: leapfrog the baroclinic velocity with semi-implicit Coriolis,
 /// implicit vertical viscosity, barotropic re-anchoring to (ubar_avg,

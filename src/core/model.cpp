@@ -11,7 +11,6 @@
 #include "core/restart.hpp"
 #include "core/tracer.hpp"
 #include "decomp/load_balance.hpp"
-#include "halo/exchange_group.hpp"
 #include "kxx/kxx.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
@@ -144,7 +143,6 @@ LicomModel::LicomModel(const ModelConfig& cfg, std::shared_ptr<const grid::Globa
   lgrid_ = std::make_unique<LocalGrid>(*global_, *decomp_, comm_.rank());
   exchanger_ = std::make_unique<halo::HaloExchanger>(*decomp_, comm_, comm_.rank());
   exchanger_->set_eliminate_redundant(cfg_.eliminate_redundant_halo);
-  exchanger_->set_batching(cfg_.batch_halo_exchange);
   exchanger_->set_verify_crc(cfg_.verify_halo_crc);
   exchanger_->set_tag_base(cfg_.halo_tag_base);
   state_ = std::make_unique<OceanState>(*lgrid_);
@@ -166,22 +164,36 @@ LicomModel::LicomModel(const ModelConfig& cfg, std::shared_ptr<const grid::Globa
     state_->t_cur.mark_dirty();
     state_->t_old.mark_dirty();
   }
-  if (cfg_.persistent_halo_exchange) {
-    // Enroll the barotropic subcycle's prognostic 2-D fields once: the
-    // persistent plan (neighbor geometry, fused packing boxes, registered
-    // buffers) is built on first use and reused by every substep of every
-    // step. The group re-resolves field base pointers at each exchange, so
-    // the leapfrog buffer rotation is transparent to it.
-    subcycle_group_ = std::make_unique<halo::PersistentGroup>(*exchanger_);
-    subcycle_group_->add(state_->eta_cur, halo::FoldSign::Symmetric);
-    subcycle_group_->add(state_->ubar_cur, halo::FoldSign::Antisymmetric);
-    subcycle_group_->add(state_->vbar_cur, halo::FoldSign::Antisymmetric);
-  }
   mixer_ = std::make_unique<VerticalMixer>(*lgrid_, comm_, cfg_.vmix, cfg_.canuto_load_balance);
   polar_ = std::make_unique<PolarFilter>(*lgrid_);
   adv_ws_ = std::make_unique<AdvectionWorkspace>(*lgrid_);
   adv_scratch_ = std::make_unique<TracerAdvScratch>(*lgrid_);
   shortwave_frac_ = shortwave_fraction_table(lgrid_->vertical().interfaces());
+  // Enroll every per-step exchange once: each group's plan (neighbor
+  // geometry, fused packing boxes, registered buffers) is built on first use
+  // and reused by every later round. Groups re-resolve field base pointers
+  // at each exchange, so the leapfrog and tracer buffer rotations are
+  // transparent to them.
+  const halo::Halo3DMethod method = halo_method();
+  auto make_group = [this](HaloTagBlock block) {
+    return std::make_unique<halo::PersistentGroup>(*exchanger_, block);
+  };
+  subcycle_group_ = make_group(kSubcycleTagBlock);
+  subcycle_group_->add(state_->eta_cur, halo::FoldSign::Symmetric);
+  subcycle_group_->add(state_->ubar_cur, halo::FoldSign::Antisymmetric);
+  subcycle_group_->add(state_->vbar_cur, halo::FoldSign::Antisymmetric);
+  kappa_group_ = make_group(kKappaTagBlock);
+  kappa_group_->add(state_->kappa_m, halo::FoldSign::Symmetric, method);
+  kappa_group_->add(state_->kappa_t, halo::FoldSign::Symmetric, method);
+  bclinc_group_ = make_group(kBclincTagBlock);
+  bclinc_group_->add(state_->u_cur, halo::FoldSign::Antisymmetric, method);
+  bclinc_group_->add(state_->v_cur, halo::FoldSign::Antisymmetric, method);
+  tracer_group_ = make_group(kTracerTagBlock);
+  tracer_group_->add(state_->t_cur, halo::FoldSign::Symmetric, method);
+  tracer_group_->add(state_->s_cur, halo::FoldSign::Symmetric, method);
+  qtd_group_ = make_group(kAdvectionTagBlock);
+  qtd_group_->add(adv_ws_->q_td);
+  qtd_group_->add(adv_scratch_->q_td);
   ubar_avg_ = halo::BlockField2D("ubar_avg", lgrid_->extent());
   vbar_avg_ = halo::BlockField2D("vbar_avg", lgrid_->extent());
   gu_bar_ = halo::BlockField2D("gu_bar", lgrid_->extent());
@@ -189,11 +201,15 @@ LicomModel::LicomModel(const ModelConfig& cfg, std::shared_ptr<const grid::Globa
   initial_exchange();
 }
 
+halo::Halo3DMethod LicomModel::halo_method() const {
+  return cfg_.halo_strategy == HaloStrategy::TransposeVerticalMajor
+             ? halo::Halo3DMethod::TransposeVerticalMajor
+             : halo::Halo3DMethod::HorizontalMajor;
+}
+
 void LicomModel::initial_exchange() {
-  const auto method = cfg_.halo_strategy == HaloStrategy::TransposeVerticalMajor
-                          ? halo::Halo3DMethod::TransposeVerticalMajor
-                          : halo::Halo3DMethod::HorizontalMajor;
-  halo::ExchangeGroup group(*exchanger_);
+  const halo::Halo3DMethod method = halo_method();
+  halo::PersistentGroup group(*exchanger_, kScopedTagBlock);
   group.add(state_->t_cur, halo::FoldSign::Symmetric, method);
   group.add(state_->s_cur, halo::FoldSign::Symmetric, method);
   group.add(state_->t_old, halo::FoldSign::Symmetric, method);
@@ -210,9 +226,6 @@ void LicomModel::set_checkpoint_cadence(long long every_steps, StepHook hook) {
 }
 
 void LicomModel::step() {
-  const auto method = cfg_.halo_strategy == HaloStrategy::TransposeVerticalMajor
-                          ? halo::Halo3DMethod::TransposeVerticalMajor
-                          : halo::Halo3DMethod::HorizontalMajor;
   const double day = day_of_year();
   const auto wall_start = std::chrono::steady_clock::now();
   PhaseScope step_span("step", "phase");
@@ -220,9 +233,11 @@ void LicomModel::step() {
   {
     PhaseScope t("halo_in", "phase");
     // With redundant-exchange elimination these are no-ops except on the
-    // first step (the end-of-step exchanges keep versions current). One
-    // aggregated message per neighbor covers every dirty prognostic field.
-    halo::ExchangeGroup group(*exchanger_);
+    // first step (the end-of-step exchanges keep versions current), so the
+    // group stays scoped: an all-skipped round builds no plan. One fused
+    // message per peer covers every dirty prognostic field.
+    const halo::Halo3DMethod method = halo_method();
+    halo::PersistentGroup group(*exchanger_, kScopedTagBlock);
     group.add(state_->t_cur, halo::FoldSign::Symmetric, method);
     group.add(state_->s_cur, halo::FoldSign::Symmetric, method);
     group.add(state_->u_cur, halo::FoldSign::Antisymmetric, method);
@@ -249,17 +264,12 @@ void LicomModel::step() {
   }
 
   // The diffusivity exchange overlaps the readyc tendency kernels: the
-  // kappa batch is posted right after the mixer fills the fields and only
+  // kappa group is posted right after the mixer fills the fields and only
   // drained once the tendencies (which never read kappa ghosts) are done.
-  // tag_block 1 keeps its messages distinct from any step-phase batch.
-  halo::ExchangeGroup kappa_group(*exchanger_, /*tag_block=*/1);
-  kappa_group.add(state_->kappa_m, halo::FoldSign::Symmetric, method);
-  kappa_group.add(state_->kappa_t, halo::FoldSign::Symmetric, method);
-
   {
     PhaseScope t("vmix", "phase");
     mixer_->compute(*state_);
-    kappa_group.begin();
+    kappa_group_->begin();
   }
 
   {
@@ -273,15 +283,15 @@ void LicomModel::step() {
       vertical_mean(*lgrid_, state_->fu_tend, gu_bar_);
       vertical_mean(*lgrid_, state_->fv_tend, gv_bar_);
     }
-    kappa_group.finish();
+    kappa_group_->finish();
   }
 
   {
     PhaseScope t("barotr", "phase");
     const std::uint64_t msgs0 = exchanger_->stats().messages;
     const std::uint64_t equiv0 = exchanger_->stats().equiv_messages;
-    run_barotropic(*lgrid_, cfg_, *state_, *exchanger_, *polar_, gu_bar_, gv_bar_, ubar_avg_,
-                   vbar_avg_, subcycle_group_.get());
+    run_barotropic(*lgrid_, cfg_, *state_, *polar_, gu_bar_, gv_bar_, ubar_avg_, vbar_avg_,
+                   *subcycle_group_);
     subcycle_msgs_ += exchanger_->stats().messages - msgs0;
     subcycle_equiv_ += exchanger_->stats().equiv_messages - equiv0;
   }
@@ -290,28 +300,20 @@ void LicomModel::step() {
     PhaseScope t("bclinc", "phase");
     baroclinic_update(*lgrid_, cfg_, *state_, ubar_avg_, vbar_avg_);
     state_->rotate_velocity();
-    halo::ExchangeGroup group(*exchanger_);
-    group.add(state_->u_cur, halo::FoldSign::Antisymmetric, method);
-    group.add(state_->v_cur, halo::FoldSign::Antisymmetric, method);
-    group.exchange();
-    polar_->apply({FilteredField(state_->u_cur, halo::FoldSign::Antisymmetric, false, method),
-                   FilteredField(state_->v_cur, halo::FoldSign::Antisymmetric, false, method)},
-                  *exchanger_);
+    bclinc_group_->exchange();
+    polar_->apply({FilteredField(state_->u_cur, false), FilteredField(state_->v_cur, false)},
+                  *bclinc_group_);
   }
 
   {
     PhaseScope t("tracer", "phase");
-    tracer_step(*lgrid_, cfg_, *state_, *adv_ws_, *adv_scratch_, *exchanger_, shortwave_frac_,
+    tracer_step(*lgrid_, cfg_, *state_, *adv_ws_, *adv_scratch_, *qtd_group_, shortwave_frac_,
                 day);
     state_->rotate_tracers();
-    halo::ExchangeGroup group(*exchanger_);
-    group.add(state_->t_cur, halo::FoldSign::Symmetric, method);
-    group.add(state_->s_cur, halo::FoldSign::Symmetric, method);
-    group.exchange();
-    polar_->apply(
-        {FilteredField(state_->t_cur, halo::FoldSign::Symmetric, /*conservative=*/true, method),
-         FilteredField(state_->s_cur, halo::FoldSign::Symmetric, /*conservative=*/true, method)},
-        *exchanger_);
+    tracer_group_->exchange();
+    polar_->apply({FilteredField(state_->t_cur, /*conservative=*/true),
+                   FilteredField(state_->s_cur, /*conservative=*/true)},
+                  *tracer_group_);
   }
 
   double prev_day = std::floor(sim_seconds_ / 86400.0);
@@ -381,15 +383,11 @@ void LicomModel::run_days(double days) {
     gauge("kxx.pack.lanes_masked", static_cast<double>(kxx::pack_lanes_masked()));
     gauge("kxx.fusion.views_elided_bytes",
           static_cast<double>(kxx::fusion_views_elided_bytes()));
-    if (subcycle_group_ != nullptr) {
-      gauge("halo.persistent.plan_builds",
-            static_cast<double>(subcycle_group_->plan_builds()));
-      gauge("halo.persistent.plan_hits", static_cast<double>(subcycle_group_->plan_hits()));
-      gauge("halo.persistent.self_copies",
-            static_cast<double>(subcycle_group_->self_copies()));
-      gauge("halo.persistent.partial_exchanges",
-            static_cast<double>(subcycle_group_->partial_exchanges()));
-    }
+    gauge("halo.persistent.plan_builds", static_cast<double>(subcycle_group_->plan_builds()));
+    gauge("halo.persistent.plan_hits", static_cast<double>(subcycle_group_->plan_hits()));
+    gauge("halo.persistent.self_copies", static_cast<double>(subcycle_group_->self_copies()));
+    gauge("halo.persistent.partial_exchanges",
+          static_cast<double>(subcycle_group_->partial_exchanges()));
   }
 }
 
@@ -431,7 +429,7 @@ void LicomModel::read_restart(const std::string& prefix) {
   // restore this is value-neutral — the stored halos were themselves
   // exchange-consistent at checkpoint time.
   initial_exchange();
-  halo::ExchangeGroup group(*exchanger_);
+  halo::PersistentGroup group(*exchanger_, kScopedTagBlock);
   group.add(state_->u_cur, halo::FoldSign::Antisymmetric);
   group.add(state_->v_cur, halo::FoldSign::Antisymmetric);
   group.add(state_->u_old, halo::FoldSign::Antisymmetric);

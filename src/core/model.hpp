@@ -87,17 +87,31 @@ class LicomModel {
   void set_checkpoint_cadence(long long every_steps, StepHook hook);
 
   /// Halo messages attributed to the barotropic subcycle (the barotr phase),
-  /// measured by snapshotting the exchanger's counters around run_barotropic.
-  /// This is the numerator/denominator pair behind the CI gate in
-  /// ci/check_halo_batching.py: comparing `subcycle_messages()` between a
-  /// persistent and a batched run yields the subcycle message-reduction
-  /// ratio directly, with no estimate involved.
+  /// measured by snapshotting the exchanger's counters around run_barotropic,
+  /// and the messages a per-field update() of the same work would have sent.
+  /// Their ratio is the subcycle message reduction ci/check_halo_batching.py
+  /// gates on.
   std::uint64_t subcycle_messages() const { return subcycle_msgs_; }
   std::uint64_t subcycle_equiv_messages() const { return subcycle_equiv_; }
 
-  /// The persistent subcycle group (η/ū/v̄), or nullptr when
-  /// cfg.persistent_halo_exchange is off.
-  const halo::PersistentGroup* subcycle_group() const { return subcycle_group_.get(); }
+  /// The barotropic subcycle's halo group (η/ū/v̄).
+  const halo::PersistentGroup& subcycle_group() const { return *subcycle_group_; }
+
+  /// Halo tag blocks (PersistentGroup tag_block) of the model's groups. A
+  /// plan holds its tag claim for its whole lifetime, so every group that
+  /// exchanges each step owns a distinct block; the scoped groups (halo_in,
+  /// the initial and the restart refresh) are never alive at the same time
+  /// and share the last one. The forecast farm spaces tenants' tag bases by
+  /// kHaloTagBlocks.
+  enum HaloTagBlock : int {
+    kSubcycleTagBlock,   ///< η/ū/v̄ every barotropic substep
+    kKappaTagBlock,      ///< κ_m/κ_t, overlapped with readyc
+    kBclincTagBlock,     ///< u/v after bclinc, then the polar filter
+    kTracerTagBlock,     ///< t/s after the tracer step, then the polar filter
+    kAdvectionTagBlock,  ///< the FCT provisional q_td pair
+    kScopedTagBlock,     ///< halo_in, initial_exchange, read_restart
+    kHaloTagBlocks
+  };
 
   const ModelConfig& config() const { return cfg_; }
   const LocalGrid& local_grid() const { return *lgrid_; }
@@ -113,13 +127,14 @@ class LicomModel {
   LicomModel(const ModelConfig& cfg, std::unique_ptr<comm::World> owned_world);
 
   void initial_exchange();
+  halo::Halo3DMethod halo_method() const;
 
   /// World owned by the single-rank convenience constructor. Declared FIRST
   /// so it outlives comm_ and every comm-holding subsystem below. Each model
-  /// instance gets its OWN world: even a 1-rank decomposition sends
-  /// self-messages (tripolar fold, periodic wrap), so a world shared between
-  /// concurrent instances would FIFO-match one model's payloads into
-  /// another. Null for models handed an external communicator.
+  /// instance gets its OWN world: a per-field update() on a 1-rank
+  /// decomposition sends self-messages (tripolar fold, periodic wrap), so a
+  /// world shared between concurrent instances could FIFO-match one model's
+  /// payloads into another. Null for models handed an external communicator.
   std::unique_ptr<comm::World> owned_world_;
   ModelConfig cfg_;
   std::shared_ptr<const grid::GlobalGrid> global_;
@@ -128,14 +143,18 @@ class LicomModel {
   std::unique_ptr<LocalGrid> lgrid_;
   std::unique_ptr<halo::HaloExchanger> exchanger_;
   std::unique_ptr<OceanState> state_;
-  /// Persistent halo engine for the subcycle's η/ū/v̄ (declared after
-  /// exchanger_/state_: it holds references into both, so it must be
-  /// destroyed first). Null when persistent_halo_exchange is off.
-  std::unique_ptr<halo::PersistentGroup> subcycle_group_;
   std::unique_ptr<VerticalMixer> mixer_;
   std::unique_ptr<PolarFilter> polar_;
   std::unique_ptr<AdvectionWorkspace> adv_ws_;
   std::unique_ptr<TracerAdvScratch> adv_scratch_;
+  /// The halo groups that exchange every step, one tag block each (declared
+  /// after exchanger_ and the fields they enroll, so they are destroyed
+  /// first). Their plans are built at first use and reused for the run.
+  std::unique_ptr<halo::PersistentGroup> subcycle_group_;
+  std::unique_ptr<halo::PersistentGroup> kappa_group_;
+  std::unique_ptr<halo::PersistentGroup> bclinc_group_;
+  std::unique_ptr<halo::PersistentGroup> tracer_group_;
+  std::unique_ptr<halo::PersistentGroup> qtd_group_;
   /// shortwave_fraction at the nz + 1 interfaces, built once (tracer_step).
   std::vector<double> shortwave_frac_;
   halo::BlockField2D ubar_avg_, vbar_avg_, gu_bar_, gv_bar_;

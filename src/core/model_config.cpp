@@ -33,9 +33,9 @@ ModelConfig ModelConfig::km1() {
 
 namespace {
 /// CI ablation override: "0"/"off"/"false" forces the flag off, "1"/"on"/
-/// "true" forces it on, unset/other leaves the default. Lets the halo test
-/// matrix (ci/halo_matrix.sh) run every model-based suite under each
-/// batching × persistence combination without per-test plumbing.
+/// "true" forces it on, unset/other leaves the default. Lets CI run every
+/// model-based suite with kernel fusion or the weighted decomposition
+/// toggled without per-test plumbing.
 bool env_flag_or(const char* name, bool fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr) return fallback;
@@ -50,9 +50,6 @@ ModelConfig ModelConfig::testing(int factor) {
   ModelConfig c;
   c.grid = grid::shrink(grid::spec_coarse100km(), factor);
   c.grid.nz = 12;
-  c.batch_halo_exchange = env_flag_or("LICOMK_BATCH_HALO", c.batch_halo_exchange);
-  c.persistent_halo_exchange =
-      env_flag_or("LICOMK_PERSISTENT_HALO", c.persistent_halo_exchange);
   c.fuse_kernels = env_flag_or("LICOMK_FUSE", c.fuse_kernels);
   c.weighted_decomposition =
       env_flag_or("LICOMK_WEIGHTED_DECOMP", c.weighted_decomposition);
@@ -112,8 +109,6 @@ ModelConfig ModelConfig::from_config(const util::Config& cfg) {
     throw ConfigError("unknown model.halo3d: " + halo);
   }
   c.eliminate_redundant_halo = cfg.get_bool_or("model.eliminate_redundant_halo", true);
-  c.batch_halo_exchange = cfg.get_bool_or("model.batch_halo_exchange", true);
-  c.persistent_halo_exchange = cfg.get_bool_or("model.persistent_halo_exchange", true);
   c.verify_halo_crc = cfg.get_bool_or("model.verify_halo_crc", false);
   c.fuse_kernels = cfg.get_bool_or("model.fuse_kernels", true);
   c.weighted_decomposition = cfg.get_bool_or("model.weighted_decomposition", false);
@@ -133,9 +128,7 @@ std::string ModelConfig::describe() const {
      << (vmix == VMixScheme::Canuto ? "canuto" : "richardson")
      << (canuto_load_balance ? "+lb" : "") << " halo3d="
      << (halo_strategy == HaloStrategy::TransposeVerticalMajor ? "transpose" : "horizontal")
-     << (verify_halo_crc ? " halo-crc" : "") << (batch_halo_exchange ? "" : " no-halo-batch")
-     << (persistent_halo_exchange ? "" : " no-persistent-halo")
-     << (fuse_kernels ? "" : " no-fusion")
+     << (verify_halo_crc ? " halo-crc" : "") << (fuse_kernels ? "" : " no-fusion")
      << (weighted_decomposition ? " weighted-decomp" : "")
      << (fp32_barotropic ? " fp32-barotr" : "");
   if (wind_stress_scale != 1.0) os << " wind-scale=" << wind_stress_scale;

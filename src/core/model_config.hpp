@@ -46,19 +46,11 @@ struct ModelConfig {
 
   // --- numerics/engineering ---
   HaloStrategy halo_strategy = HaloStrategy::TransposeVerticalMajor;
+  /// Skip exchanges of fields unchanged since their last exchange (the
+  /// paper's redundant pack/unpack elimination). Multi-field exchanges have
+  /// one engine, halo::PersistentGroup (fused per-peer messages from a
+  /// cached plan, §V-D); there is no engine selector.
   bool eliminate_redundant_halo = true;
-  /// Aggregate multi-field halo exchanges into one message per neighbor per
-  /// phase (halo::ExchangeGroup, §V-D message-count reduction). Bit-identical
-  /// to per-field exchanges; off = the per-field ablation baseline.
-  bool batch_halo_exchange = true;
-  /// Drive the barotropic subcycle's η/ū/v̄ exchanges through the persistent
-  /// nonblocking engine (halo::PersistentGroup): geometry, packing plans and
-  /// pre-registered buffers are resolved once and reused by every subcycle
-  /// iteration, with per-peer message fusion and self-copy elimination.
-  /// Bit-identical to the batched path; off = the PR 5 ExchangeGroup
-  /// ablation baseline. Requires batch_halo_exchange (with batching off the
-  /// persistent group degrades to per-field exchanges anyway).
-  bool persistent_halo_exchange = true;
   /// Append a CRC-64 to every halo message and verify it on unpack, so
   /// in-flight corruption (bit flips on the network) surfaces as a CommError
   /// the run supervisor can recover from, instead of silently polluting the
@@ -102,7 +94,8 @@ struct ModelConfig {
 
   // --- multi-tenant isolation (set by the farm; standalone runs keep 0/"") ---
   /// Base added to every halo group tag_block of this instance, so concurrent
-  /// model instances own disjoint tag ranges (see HaloExchanger::set_tag_base).
+  /// model instances own disjoint tag ranges (see HaloExchanger::set_tag_base;
+  /// an instance uses LicomModel::kHaloTagBlocks blocks from this base).
   int halo_tag_base = 0;
   /// Prefix for the gauges run_days() publishes ("model.sypd" →
   /// "<ns>model.sypd"); the farm sets "farm.tenant.<id>." so per-tenant

@@ -116,38 +116,6 @@ void PolarFilter::apply(halo::BlockField3D& f, halo::HaloExchanger& exchanger,
 }
 
 void PolarFilter::apply(const std::vector<FilteredField>& fields,
-                        halo::HaloExchanger& exchanger) const {
-  if (max_passes_ == 0 || fields.empty()) return;
-  halo::ExchangeGroup group(exchanger);
-  for (const FilteredField& f : fields) {
-    if (f.f2 != nullptr) {
-      group.add(*f.f2, f.sign);
-    } else {
-      group.add(*f.f3, f.sign, f.method);
-    }
-  }
-  for (int pass = 0; pass < max_passes_; ++pass) {
-    for (const FilteredField& f : fields) {
-      if (f.f2 != nullptr) {
-        smooth_rows_2d(*f.f2, pass, f.conservative);
-        f.f2->mark_dirty();
-      } else {
-        smooth_rows_3d(*f.f3, pass, f.conservative);
-        f.f3->mark_dirty();
-      }
-    }
-    // The smoothing stencil only reads same-row east/west neighbors, so the
-    // intermediate refreshes skip the meridional + fold traffic entirely;
-    // the final pass restores every ghost with a full batched exchange.
-    if (pass + 1 < max_passes_) {
-      group.exchange_zonal();
-    } else {
-      group.exchange();
-    }
-  }
-}
-
-void PolarFilter::apply(const std::vector<FilteredField>& fields,
                         halo::PersistentGroup& group) const {
   if (max_passes_ == 0 || fields.empty()) return;
   for (int pass = 0; pass < max_passes_; ++pass) {

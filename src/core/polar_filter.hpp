@@ -17,25 +17,20 @@
 #include <vector>
 
 #include "core/local_grid.hpp"
-#include "halo/exchange_group.hpp"
 #include "halo/halo_exchange.hpp"
 #include "halo/persistent_group.hpp"
 
 namespace licomk::core {
 
-/// One field enrolled in a batched PolarFilter::apply.
+/// One field of a grouped PolarFilter::apply. Its fold sign and 3-D halo
+/// method are the ones the driving group enrolled it with.
 struct FilteredField {
-  FilteredField(halo::BlockField2D& f, halo::FoldSign sign, bool conservative)
-      : f2(&f), sign(sign), conservative(conservative) {}
-  FilteredField(halo::BlockField3D& f, halo::FoldSign sign, bool conservative,
-                halo::Halo3DMethod method = halo::Halo3DMethod::TransposeVerticalMajor)
-      : f3(&f), sign(sign), conservative(conservative), method(method) {}
+  FilteredField(halo::BlockField2D& f, bool conservative) : f2(&f), conservative(conservative) {}
+  FilteredField(halo::BlockField3D& f, bool conservative) : f3(&f), conservative(conservative) {}
 
   halo::BlockField2D* f2 = nullptr;  ///< exactly one of f2/f3 is set
   halo::BlockField3D* f3 = nullptr;
-  halo::FoldSign sign = halo::FoldSign::Symmetric;
   bool conservative = false;
-  halo::Halo3DMethod method = halo::Halo3DMethod::TransposeVerticalMajor;
 };
 
 class PolarFilter {
@@ -66,24 +61,16 @@ class PolarFilter {
   void apply(halo::BlockField3D& f, halo::HaloExchanger& exchanger, halo::FoldSign sign,
              bool conservative) const;
 
-  /// Filter a set of fields together, aggregating the per-pass halo traffic
-  /// into one ExchangeGroup. Intermediate passes refresh only the east/west
-  /// ghosts (the 1-2-1 stencil reads nothing else); the last pass runs a
-  /// full batched exchange, so on exit every field's complete halo is valid
-  /// and each field is bit-identical to a sequence of single-field apply()
-  /// calls (the smoothing of each field is independent of the others).
-  void apply(const std::vector<FilteredField>& fields,
-             halo::HaloExchanger& exchanger) const;
-
-  /// Same batched filter, but driven through an already-enrolled persistent
-  /// group (the barotropic subcycle's η/ū/v̄). The group must contain exactly
-  /// the filtered fields. Two extra message savings over the ExchangeGroup
-  /// variant, both bit-identity-preserving:
-  ///   - intermediate zonal refreshes stop once `pass+1 >= local_max_passes_`
-  ///     (neither this rank nor its east/west partners — which share the same
-  ///     global rows, hence the same pass schedule — will smooth again before
-  ///     the final full exchange rebuilds every ghost), and
-  ///   - the persistent plan's per-peer fusion/self-copy elimination applies.
+  /// Filter a set of fields together, driven through an already-enrolled
+  /// halo group (the model's subcycle, bclinc and tracer groups). The group
+  /// must contain exactly the filtered fields. Intermediate passes refresh
+  /// only the east/west ghosts (the 1-2-1 stencil reads nothing else), and
+  /// stop once `pass+1 >= local_max_passes_`: neither this rank nor its
+  /// east/west partners — which share the same global rows, hence the same
+  /// pass schedule — smooth again before the closing full exchange rebuilds
+  /// every ghost. On exit every field's complete halo is valid and each field
+  /// is bit-identical to a sequence of single-field apply() calls (the
+  /// smoothing of each field is independent of the others).
   void apply(const std::vector<FilteredField>& fields,
              halo::PersistentGroup& group) const;
 

@@ -337,7 +337,7 @@ void tracer_columns(const LocalGrid& g, const ModelConfig& cfg, OceanState& stat
 
 void tracer_step(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
                  AdvectionWorkspace& ws, TracerAdvScratch& scratch,
-                 halo::HaloExchanger& exchanger, const std::vector<double>& sw_frac,
+                 halo::PersistentGroup& qtd_group, const std::vector<double>& sw_frac,
                  double day_of_year) {
   const int h = decomp::kHaloWidth;
   const double dt = cfg.grid.dt_tracer;
@@ -349,7 +349,7 @@ void tracer_step(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
   const bool fuse_adv =
       cfg.fuse_kernels && kxx::default_backend() != kxx::Backend::AthreadSim;
   compute_volume_fluxes(g, state.u_cur, state.v_cur, ws, cfg.gm_kappa, &state.rho);
-  advect_tracer_pair(g, dt, state.t_cur, state.s_cur, ws, scratch, exchanger, state.t_new,
+  advect_tracer_pair(g, dt, state.t_cur, state.s_cur, ws, scratch, qtd_group, state.t_new,
                      state.s_new, fuse_adv);
 
   // Single-plane tiles for the staged trc_hdiff dispatches (see dynamics.cpp).

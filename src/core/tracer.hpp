@@ -14,19 +14,19 @@
 #include "core/advection.hpp"
 #include "core/model_config.hpp"
 #include "core/state.hpp"
-#include "halo/halo_exchange.hpp"
+#include "halo/persistent_group.hpp"
 
 namespace licomk::core {
 
 /// Advance t_new/s_new from t_cur/s_cur over cfg.grid.dt_tracer. Performs the
 /// in-advection halo updates — temperature and salinity advect together
 /// through advect_tracer_pair, so their provisional-field exchanges travel
-/// as one aggregated message per neighbor; the new fields' halos are NOT
-/// updated (the model driver exchanges after rotation). `sw_frac` is the
+/// through `qtd_group` as one fused message per peer; the new fields' halos
+/// are NOT updated (the model driver exchanges after rotation). `sw_frac` is the
 /// model's shortwave table (shortwave_fraction_table of the interfaces).
 void tracer_step(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
                  AdvectionWorkspace& ws, TracerAdvScratch& scratch,
-                 halo::HaloExchanger& exchanger, const std::vector<double>& sw_frac,
+                 halo::PersistentGroup& qtd_group, const std::vector<double>& sw_frac,
                  double day_of_year);
 
 /// The tracer step's column finisher on the interior: penetrating shortwave

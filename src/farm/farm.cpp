@@ -54,11 +54,6 @@ const char* to_string(TenantState s) {
 ForecastFarm::ForecastFarm(FarmOptions options) : options_(std::move(options)) {
   LICOMK_REQUIRE(options_.max_concurrent >= 1, "farm needs at least one worker slot");
   LICOMK_REQUIRE(!options_.checkpoint_root.empty(), "farm needs a checkpoint_root");
-  // The model enrolls tag blocks 0..2 (per-step, kappa, subcycle); anything
-  // narrower would let two tenants' live groups overlap — exactly the silent
-  // cross-talk the tag-claim registry exists to forbid.
-  LICOMK_REQUIRE(options_.tag_blocks_per_tenant >= 3,
-                 "tag_blocks_per_tenant must cover the model's tag blocks (>= 3)");
   LICOMK_REQUIRE(options_.fault_domain_base >= 0, "fault_domain_base must be >= 0");
   std::filesystem::create_directories(options_.checkpoint_root);
 }
@@ -173,7 +168,9 @@ bool ForecastFarm::run_lease(Tenant& t) {
   core::ModelConfig cfg = req.config;
   const std::string ns = "farm.tenant." + req.name + ".";
   cfg.telemetry_namespace = ns;
-  cfg.halo_tag_base = t.status.index * options_.tag_blocks_per_tenant;
+  // Spaced by the model's own tag-block count: tenants' live group plans can
+  // never overlap — the silent cross-talk the tag-claim registry forbids.
+  cfg.halo_tag_base = t.status.index * core::LicomModel::kHaloTagBlocks;
   const int domain = options_.fault_domain_base + t.status.index;
   if (!t.faults_armed && !req.faults.empty()) {
     resilience::arm_scoped(domain, req.faults);

@@ -22,10 +22,11 @@
 //                                      distinct spec — copy-on-write: tenants
 //                                      own only prognostic fields + overrides)
 //
-// Isolation plumbing per tenant i: halo tag_base = i × tag_blocks_per_tenant
-// (disjoint message tag ranges; collisions are a hard CommError), fault
-// domain = fault_domain_base + i (schedules can't cross tenants), telemetry
-// namespace "farm.tenant.<name>." (gauges don't clobber each other).
+// Isolation plumbing per tenant i: halo tag_base = i × the model's tag-block
+// count, LicomModel::kHaloTagBlocks (disjoint message tag ranges; collisions
+// are a hard CommError), fault domain = fault_domain_base + i (schedules
+// can't cross tenants), telemetry namespace "farm.tenant.<name>." (gauges
+// don't clobber each other).
 //
 // Fair share: each admission may consume quota_step_cells (steps × global
 // cells) before it must yield. The check runs at checkpoint boundaries only —

@@ -107,10 +107,6 @@ struct FarmOptions {
   /// Root directory for per-tenant checkpoint subdirectories
   /// ("<root>/<tenant name>/"). Required.
   std::string checkpoint_root;
-  /// Halo tag-base spacing: tenant i gets tag_base = i × this, so concurrent
-  /// instances' ExchangeGroup/PersistentGroup tag blocks never collide (each
-  /// model uses blocks 0..2 today; 4 leaves headroom).
-  int tag_blocks_per_tenant = 4;
   /// Tenant i's fault domain = base + i. Offset from 0 so tenant domains are
   /// recognizable in fired-event logs next to the global domain (-1).
   int fault_domain_base = 100;

@@ -56,7 +56,7 @@ int HaloExchanger::full_message_count() const {
 void HaloExchanger::set_tag_base(int base) {
   LICOMK_REQUIRE(base >= 0, "HaloExchanger tag_base must be >= 0");
   LICOMK_REQUIRE(live_tag_claims_.empty(),
-                 "cannot change the tag_base while a group exchange is in flight");
+                 "cannot change the tag_base while a group plan holds a tag claim");
   tag_base_ = base;
 }
 

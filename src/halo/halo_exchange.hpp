@@ -20,9 +20,10 @@
 // Skip entries are keyed on (base pointer, allocation id): a new field
 // allocated at a freed field's address never inherits the stale entry.
 //
-// For message aggregation across many fields, see ExchangeGroup
-// (exchange_group.hpp), which shares this class's pack/unpack/skip machinery
-// but sends one message per neighbor per phase for the whole batch.
+// For message aggregation across many fields, see PersistentGroup
+// (persistent_group.hpp), which shares this class's pack/unpack/skip
+// machinery but sends one fused message per peer per phase for the whole
+// group through a cached plan.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +38,6 @@
 
 namespace licomk::halo {
 
-class ExchangeGroup;
 class PersistentGroup;
 
 enum class Halo3DMethod {
@@ -53,12 +53,11 @@ struct HaloStats {
   std::uint64_t packed_elements = 0;  ///< elements through pack kernels
   std::uint64_t unpacked_elements = 0;
   std::uint64_t fold_messages = 0;
-  /// Messages a per-field exchange of the same work would have sent; the
-  /// aggregation win is equiv_messages / messages (batching off => equal).
+  /// Messages a per-field update() of the same work would have sent; the
+  /// aggregation win is equiv_messages / messages.
   std::uint64_t equiv_messages = 0;
-  std::uint64_t batches = 0;         ///< aggregated group exchanges
-  std::uint64_t batched_fields = 0;  ///< field exchanges carried by batches
-  std::uint64_t persistent_batches = 0;  ///< exchanges through PersistentGroup plans
+  std::uint64_t batches = 0;         ///< PersistentGroup exchanges that did work
+  std::uint64_t batched_fields = 0;  ///< field exchanges carried by those groups
   /// Peer-is-self transfers a PersistentGroup turned into local copies
   /// instead of messages (px == 1 zonal wrap, self fold partners).
   std::uint64_t self_copies = 0;
@@ -118,28 +117,22 @@ class HaloExchanger {
   /// Enable/disable redundant-exchange elimination (default on).
   void set_eliminate_redundant(bool on) { eliminate_redundant_ = on; }
 
-  /// Enable/disable message aggregation in ExchangeGroups built on this
-  /// exchanger (default on). With batching off a group degrades to the
-  /// per-field update()/begin_update() pattern — the ablation baseline.
-  void set_batching(bool on) { batching_ = on; }
-  bool batching() const { return batching_; }
-
   /// Opt-in per-message integrity: pack appends a CRC-64/XZ of the message
   /// payload as one trailing word; unpack recomputes and verifies it before
   /// scattering into the field. A mismatch (e.g. an injected in-flight bit
   /// flip) bumps "resilience.halo_crc_failures" and throws comm::CommError,
   /// which poisons the World so the run supervisor recovers instead of
   /// silently integrating corrupted ghost cells. All ranks of a run must
-  /// agree on this flag (the message layout changes). Aggregated messages
-  /// carry one CRC word for the whole multi-field payload.
+  /// agree on this flag (the message layout changes). A fused group message
+  /// carries one CRC word for its whole multi-field payload.
   void set_verify_crc(bool on) { verify_crc_ = on; }
   bool verify_crc() const { return verify_crc_; }
 
-  /// Tenant tag-space partitioning: every ExchangeGroup/PersistentGroup on
-  /// this exchanger computes its message tags from (tag_base + local
-  /// tag_block), so concurrent model instances can be given disjoint tag
-  /// ranges without touching any group call site. The forecast farm assigns
-  /// each tenant `tenant_index * blocks_per_tenant`; standalone runs keep 0.
+  /// Tenant tag-space partitioning: every PersistentGroup on this exchanger
+  /// computes its message tags from (tag_base + local tag_block), so
+  /// concurrent model instances can be given disjoint tag ranges without
+  /// touching any group call site. The forecast farm assigns each tenant
+  /// `tenant_index * LicomModel::kHaloTagBlocks`; standalone runs keep 0.
   /// Must be set before any group exchange on this exchanger.
   void set_tag_base(int base);
   int tag_base() const { return tag_base_; }
@@ -151,12 +144,10 @@ class HaloExchanger {
   const decomp::BlockExtent& extent() const { return extent_; }
 
   /// Messages one full per-field exchange costs on this rank (meridional +
-  /// fold + zonal sends). The batching CI gate compares actual message
-  /// counts against this per-field equivalent.
+  /// fold + zonal sends): the per-field equivalent behind equiv_messages.
   int full_message_count() const;
 
  private:
-  friend class ExchangeGroup;
   friend class PersistentGroup;
 
   struct FoldPartner {
@@ -173,9 +164,9 @@ class HaloExchanger {
     std::uint64_t version = 0;
   };
 
-  /// In-flight tag-range registry. A group claims its inclusive tag range
-  /// [first, last] when it posts messages and releases it once they are all
-  /// matched; two live owners whose ranges overlap are a hard CommError that
+  /// Live tag-range registry. A group claims its inclusive tag range
+  /// [first, last] when it builds its plan and releases it when the plan is
+  /// dropped; two live owners whose ranges overlap are a hard CommError that
   /// names both owners — the silent alternative is FIFO cross-matching one
   /// group's payload into another group's ghost cells.
   void claim_tag_range(int first, int last, const std::string& owner);
@@ -186,7 +177,7 @@ class HaloExchanger {
   void send_phase1(double* base, int nz, Halo3DMethod method);
   void finish_phases(double* base, int nz, FoldSign sign, Halo3DMethod method);
   /// Pack/unpack one (nz, nj, ni) halo box to/from a contiguous buffer
-  /// (kxx box-copy kernel); shared by per-field messages and batches.
+  /// (kxx box-copy kernel); shared by per-field messages and groups.
   void pack_box(const double* base, int nz, Halo3DMethod method, int j0, int nj, int i0,
                 int ni, double* out);
   void unpack_box(double* base, int nz, Halo3DMethod method, int j0, int nj, int i0, int ni,
@@ -214,7 +205,6 @@ class HaloExchanger {
   std::vector<FoldPartner> fold_partners_;
 
   bool eliminate_redundant_ = true;
-  bool batching_ = true;
   bool verify_crc_ = false;
   int tag_base_ = 0;
   struct TagClaim {

@@ -11,7 +11,7 @@ namespace licomk::halo {
 
 using detail::note_counter;
 using detail::note_message;
-using detail::persistent_tag;
+using detail::group_tag;
 
 PersistentGroup::PersistentGroup(HaloExchanger& exchanger, int tag_block)
     : ex_(exchanger), tag_block_(tag_block) {
@@ -31,7 +31,7 @@ int PersistentGroup::eff_block() const { return ex_.tag_base_ + tag_block_; }
 
 void PersistentGroup::claim_tags() {
   if (tags_claimed_) return;
-  ex_.claim_tag_range(persistent_tag(eff_block(), 0), persistent_tag(eff_block(), 1),
+  ex_.claim_tag_range(group_tag(eff_block(), 0), group_tag(eff_block(), 1),
                       "PersistentGroup(tag_block=" + std::to_string(tag_block_) +
                           ", tag_base=" + std::to_string(ex_.tag_base_) + ")");
   tags_claimed_ = true;
@@ -39,7 +39,7 @@ void PersistentGroup::claim_tags() {
 
 void PersistentGroup::release_tags() noexcept {
   if (!tags_claimed_) return;
-  ex_.release_tag_range(persistent_tag(eff_block(), 0));
+  ex_.release_tag_range(group_tag(eff_block(), 0));
   tags_claimed_ = false;
 }
 
@@ -202,7 +202,7 @@ void PersistentGroup::build_plan() {
   std::array<std::vector<SB>, 2> sends;
   std::array<std::vector<RB>, 2> recvs;
 
-  // ---- phase 0: meridional + fold (matches ExchangeGroup::send_phase1) ----
+  // ---- phase 0: meridional + fold (the per-field send_phase1 boxes) ------
   if (ex_.neigh_.south >= 0) {
     sends[0].push_back({ex_.neigh_.south, {h, h, h, nx, false}});
   }
@@ -255,7 +255,7 @@ void PersistentGroup::build_plan() {
     plan_[0].zeros.push_back({h + ny, h, 0, static_cast<int>(nxt)});
   }
 
-  // ---- phase 1: zonal (matches ExchangeGroup::do_zonal_phase) -------------
+  // ---- phase 1: zonal (the per-field phase-2 boxes) ----------------------
   if (ex_.neigh_.west >= 0) {
     sends[1].push_back({ex_.neigh_.west, {0, nyt, h, h, false}});
   }
@@ -286,7 +286,7 @@ void PersistentGroup::build_plan() {
   // ---- fold the enumerations into fused ops and register buffers ----------
   for (int phase = 0; phase < 2; ++phase) {
     PhasePlan& plan = plan_[static_cast<std::size_t>(phase)];
-    const int tag = persistent_tag(eff_block(), phase);
+    const int tag = group_tag(eff_block(), phase);
     CopyOp copy;
     for (const SB& s : sends[static_cast<std::size_t>(phase)]) {
       if (s.peer == me) {
@@ -442,20 +442,6 @@ void PersistentGroup::begin() {
   LICOMK_REQUIRE(phase_ == Phase::Idle,
                  "PersistentGroup::begin() while an exchange is already in flight");
   phase_ = Phase::Begun;
-  if (slots_.empty()) return;
-  if (!ex_.batching_) {
-    // Ablation fallback: the pre-aggregation per-field pattern, exactly as
-    // ExchangeGroup degrades (one complete update per field, in order).
-    for (Slot& s : slots_) {
-      if (s.f2 != nullptr) {
-        ex_.update(*s.f2, s.sign);
-      } else {
-        ex_.update(*s.f3, s.sign, s.method);
-      }
-    }
-    return;
-  }
-  ensure_plan();
   n_participating_ = 0;
   for (Slot& s : slots_) {
     resolve(s);
@@ -464,7 +450,10 @@ void PersistentGroup::begin() {
     s.participating = !ex_.should_skip(s.base, alloc_id, version);
     if (s.participating) ++n_participating_;
   }
+  // Nothing to send: no plan is built and no tags are claimed, so a group
+  // whose fields are all current (halo_in after step 1) costs nothing.
   if (n_participating_ == 0) return;
+  ensure_plan();
   round_all_participating_ = n_participating_ == slots_.size();
   if (!round_all_participating_) {
     ++partial_exchanges_;
@@ -475,7 +464,6 @@ void PersistentGroup::begin() {
       n_participating_ * static_cast<std::uint64_t>(ex_.full_message_count());
   ex_.stats_.batches += 1;
   ex_.stats_.batched_fields += n_participating_;
-  ex_.stats_.persistent_batches += 1;
   note_counter("halo.exchanges", n_participating_);
   telemetry::ScopedSpan span("halo_persistent_begin", "halo", {},
                              static_cast<long long>(n_participating_));
@@ -485,8 +473,6 @@ void PersistentGroup::begin() {
 void PersistentGroup::finish() {
   LICOMK_REQUIRE(phase_ == Phase::Begun, "PersistentGroup::finish() without a begin()");
   phase_ = Phase::Idle;
-  if (slots_.empty()) return;
-  if (!ex_.batching_) return;  // fallback exchanges completed in begin()
   if (n_participating_ == 0) return;
   // The phase-0 sends were packed from the buffers resolved at begin(); the
   // unpacks below must land in those same buffers.
@@ -513,18 +499,6 @@ void PersistentGroup::exchange_zonal() {
   LICOMK_REQUIRE(phase_ == Phase::Idle,
                  "PersistentGroup::exchange_zonal() while an exchange is in flight");
   if (slots_.empty()) return;
-  if (!ex_.batching_) {
-    // Per-field fallback has no zonal-only primitive; full updates match the
-    // pre-aggregation call sites (one full exchange per filter pass).
-    for (Slot& s : slots_) {
-      if (s.f2 != nullptr) {
-        ex_.update(*s.f2, s.sign);
-      } else {
-        ex_.update(*s.f3, s.sign, s.method);
-      }
-    }
-    return;
-  }
   ensure_plan();
   for (Slot& s : slots_) {
     resolve(s);
@@ -537,7 +511,6 @@ void PersistentGroup::exchange_zonal() {
       slots_.size() * static_cast<std::uint64_t>(ex_.full_message_count());
   ex_.stats_.batches += 1;
   ex_.stats_.batched_fields += slots_.size();
-  ex_.stats_.persistent_batches += 1;
   note_counter("halo.exchanges", slots_.size());
   telemetry::ScopedSpan span("halo_persistent_zonal", "halo", {},
                              static_cast<long long>(slots_.size()));

@@ -1,55 +1,68 @@
-// persistent_group.hpp — persistent, fully nonblocking multi-field halo
-// exchange (ISSUE 6; ROADMAP "Fully nonblocking, persistent halo engine").
+// persistent_group.hpp — the multi-field halo exchange engine (paper §V-D).
 //
-// An ExchangeGroup still re-derives its message plan on every call: which
-// neighbors exist, which boxes go where, how large each buffer is — and it
-// sends through the buffered blocking path. A PersistentGroup resolves all
-// of that ONCE into a cached plan (the MPI persistent-request idiom:
-// MPI_Send_init / MPI_Recv_init at plan build, MPI_Start / MPI_Wait per
-// exchange) and then only packs, starts, and waits each round:
+// The per-field HaloExchanger sends one message per field per direction; the
+// hot phases of a step (barotropic subcycle, tracer loop) exchange many
+// fields back to back, so the message COUNT — not the byte volume — becomes
+// the bottleneck at scale. A PersistentGroup enrolls a set of fields once and
+// resolves everything that does not change between rounds ONCE into a
+// cached plan (the MPI persistent-request idiom: MPI_Send_init /
+// MPI_Recv_init at plan build, MPI_Start / MPI_Wait per exchange); each round
+// then only packs, starts, and waits:
 //
 //   * per-peer message fusion — every box headed to the same peer in the
-//     same phase travels in ONE message (e.g. with px == 2 the west and east
-//     zonal strips go to the same rank: one message instead of two). The
-//     box order inside a fused message is canonical — both sides derive it
-//     from the decomposition alone, so no header is needed.
+//     same phase travels in ONE message, fields concatenated in enrollment
+//     order inside each box, each packed with its own Halo3DMethod strides
+//     (e.g. with px == 2 the west and east zonal strips go to the same rank:
+//     one message instead of two). The box order inside a fused message is
+//     canonical — both sides derive it from the decomposition alone, so no
+//     header is needed. Unpacking applies each field's own FoldSign across
+//     the tripolar seam.
 //   * self-copy elimination — a "message" whose peer is this rank (px == 1
 //     zonal periodicity, a fold partner straddling the mirror midpoint)
 //     never touches the communicator: it is packed into a staging buffer
 //     and unpacked locally through the exact same box kernels.
 //   * pre-registered buffers — each message's pack/unpack buffer is sized
 //     once and bound to a comm::PersistentRequest; exchanges reuse them.
+//     With CRC verification on, one trailing CRC-64 word covers the whole
+//     fused payload.
 //   * a deferred send-buffer pool — each send op owns a 2-deep ring of
 //     (buffer, request) pairs. finish() does NOT wait for sends; the next
 //     begin() waits only the ring slot it is about to refill, so a start()
 //     never blocks on buffer reuse and send completion overlaps the
 //     caller's compute between exchanges.
 //
-// Ghost values are bit-identical to ExchangeGroup (asserted in
-// test_persistent_group / test_exchange_group): every (field, box) is packed
-// and unpacked with exactly the parameters the batched path uses — fusion
-// and self-copies only change which wire message carries the bytes.
+// Ghost values are bit-identical to sequential per-field update() calls
+// (asserted in test_persistent_group across layouts, fold signs, 3-D methods
+// and CRC modes): every (field, box) is packed and unpacked with exactly the
+// parameters the per-field path uses — fusion and self-copies only change
+// which wire message carries the bytes.
+//
+// begin()/finish() split a round exactly like begin_update/finish_update
+// split a single field: begin packs and posts the meridional + fold sends,
+// interior computation overlaps, finish receives and runs the zonal phase.
+// exchange_zonal() refreshes only the east/west ghosts (one fused message per
+// zonal peer): stencils that read only same-row neighbors between full
+// exchanges — the polar filter's smoothing passes — skip the meridional +
+// fold traffic they never read.
 //
 // The plan caches geometry and buffer sizes, NOT field addresses: each
 // begin() re-resolves the enrolled fields' buffers, so prognostic rotation
-// (buffer swaps between enrolled fields) needs no rebuild. The plan is
-// invalidated by add() (enrollment change) and by a verify_crc flip on the
-// underlying exchanger (message layout changes); a decomposition change
-// means a new HaloExchanger and therefore a new group. Plan-cache traffic is
-// observable via plan_builds()/plan_hits() and the process-wide
+// (buffer swaps between enrolled fields) needs no rebuild. The plan is built
+// lazily by the first round in which at least one field participates (an
+// all-skipped round allocates nothing and claims no tags), and invalidated by
+// add() (enrollment change) and by a verify_crc flip on the underlying
+// exchanger (message layout changes); a decomposition change means a new
+// HaloExchanger and therefore a new group. Plan-cache traffic is observable
+// via plan_builds()/plan_hits() and the process-wide
 // "halo.persistent.plan_builds"/"halo.persistent.plan_hits" counters.
 //
-// Participation: persistent messages have fixed sizes, so the fast path
-// requires every enrolled field to participate (the barotropic subcycle
-// always does — all three fields are dirty every substep). A round where
-// the redundancy eliminator skips a subset falls back to plain sends with
-// the same fused layout sized to the participating fields (counted in
-// "halo.persistent.partial_exchanges"). Like ExchangeGroup, this relies on
-// participation being symmetric across ranks (fields dirty in lockstep).
-//
-// With batching disabled on the underlying exchanger (ablation baseline)
-// the group degrades exactly like ExchangeGroup: one complete per-field
-// update() per enrolled field.
+// Participation: the redundancy eliminator skips fields unchanged since
+// their last exchange; sender and receiver agree because participation is
+// symmetric across ranks (every rank runs the same sequence on fields marked
+// dirty in lockstep). Persistent messages have fixed sizes, so the fast path
+// requires every enrolled field to participate; a round where only a subset
+// does falls back to plain sends with the same fused layout sized to the
+// participating fields (counted in "halo.persistent.partial_exchanges").
 #pragma once
 
 #include <array>
@@ -60,11 +73,11 @@
 
 namespace licomk::halo {
 
-/// A reusable persistent batch of fields. Enrollment contract matches
-/// ExchangeGroup: the group holds pointers, field objects must outlive it
-/// and stay at the same address; swapping buffer *contents* between enrolled
-/// fields is fine. Groups that may be in flight concurrently on the same
-/// exchanger must use distinct tag_blocks.
+/// A reusable set of fields exchanged together. The group holds pointers:
+/// field objects must outlive it and stay at the same address; swapping
+/// buffer *contents* between enrolled fields is fine. A plan holds its tag
+/// claim for its whole lifetime, so groups whose plans are alive at the same
+/// time on one exchanger must use distinct tag_blocks.
 class PersistentGroup {
  public:
   explicit PersistentGroup(HaloExchanger& exchanger, int tag_block = 0);
@@ -85,13 +98,17 @@ class PersistentGroup {
   void begin();
   /// Complete phase 1 (wait receives, verify, unpack), run the zonal phase
   /// 2 the same way. Send requests are left in flight (deferred pool).
+  /// Throws if begin() was not called, or if a participating field's buffer
+  /// changed since begin().
   void finish();
   /// Full exchange, no overlap: begin(); finish().
   void exchange();
 
   /// East/west-only refresh of ALL enrolled fields (no redundancy
-  /// elimination — versions are neither consulted nor recorded), one fused
-  /// message per zonal peer. Cannot be called while begin() is in flight.
+  /// elimination — versions are neither consulted nor recorded, so the next
+  /// full exchange can never be wrongly skipped while meridional ghosts are
+  /// stale), one fused message per zonal peer. Cannot be called while
+  /// begin() is in flight.
   void exchange_zonal();
 
   std::size_t size() const { return slots_.size(); }

@@ -508,19 +508,31 @@ TEST(Advection, FusedLowOrderPairBitIdenticalToUnfused) {
     ex.update(s.t_cur);
     ex.update(s.s_cur);
     lc::compute_volume_fluxes(g, s.u_cur, s.v_cur, ws);
+    lh::PersistentGroup qtd_group(ex);
+    qtd_group.add(ws.q_td);
+    qtd_group.add(scratch.q_td);
 
     lh::BlockField3D t_ref("t_ref", g.extent(), g.nz());
     lh::BlockField3D s_ref("s_ref", g.extent(), g.nz());
-    lc::advect_tracer_pair(g, 1440.0, s.t_cur, s.s_cur, ws, scratch, ex, t_ref, s_ref,
+    lc::advect_tracer_pair(g, 1440.0, s.t_cur, s.s_cur, ws, scratch, qtd_group, t_ref, s_ref,
                            /*fuse_low_order=*/false);
 
+    // The pair (one fused q_td group exchange) is two sequential
+    // single-tracer advections (per-field q_td exchanges), bit for bit.
     const size_t bytes = t_ref.view().size() * sizeof(double);
+    lh::BlockField3D t_fct("t_fct", g.extent(), g.nz());
+    lh::BlockField3D s_fct("s_fct", g.extent(), g.nz());
+    lc::advect_tracer_fct(g, 1440.0, s.t_cur, ws, ex, t_fct);
+    lc::advect_tracer_fct(g, 1440.0, s.s_cur, ws, ex, s_fct);
+    EXPECT_EQ(0, std::memcmp(t_fct.view().data(), t_ref.view().data(), bytes));
+    EXPECT_EQ(0, std::memcmp(s_fct.view().data(), s_ref.view().data(), bytes));
+
     for (int pack : {1, 4, 8}) {
       kxx::set_pack_size(pack);
       lh::BlockField3D t_fused("t_fused", g.extent(), g.nz());
       lh::BlockField3D s_fused("s_fused", g.extent(), g.nz());
-      lc::advect_tracer_pair(g, 1440.0, s.t_cur, s.s_cur, ws, scratch, ex, t_fused, s_fused,
-                             /*fuse_low_order=*/true);
+      lc::advect_tracer_pair(g, 1440.0, s.t_cur, s.s_cur, ws, scratch, qtd_group, t_fused,
+                             s_fused, /*fuse_low_order=*/true);
       EXPECT_EQ(0, std::memcmp(t_fused.view().data(), t_ref.view().data(), bytes))
           << "pack=" << pack;
       EXPECT_EQ(0, std::memcmp(s_fused.view().data(), s_ref.view().data(), bytes))

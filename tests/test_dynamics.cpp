@@ -440,6 +440,20 @@ TEST(Dynamics, VerticalMeanIsThicknessWeighted) {
     }
 }
 
+namespace {
+/// A subcycle group (η/ū/v̄) of its own on the model's exchanger, on the tag
+/// block just past the model's, so it never collides with the model's plans.
+std::unique_ptr<licomk::halo::PersistentGroup> subcycle_group(lc::LicomModel& m) {
+  namespace lh = licomk::halo;
+  auto group =
+      std::make_unique<lh::PersistentGroup>(m.exchanger(), lc::LicomModel::kHaloTagBlocks);
+  group->add(m.state().eta_cur, lh::FoldSign::Symmetric);
+  group->add(m.state().ubar_cur, lh::FoldSign::Antisymmetric);
+  group->add(m.state().vbar_cur, lh::FoldSign::Antisymmetric);
+  return group;
+}
+}  // namespace
+
 TEST(Dynamics, BarotropicRestStateStaysAtRest) {
   kxx::initialize({kxx::Backend::Serial, 1, false});
   ModelFixture fx;
@@ -451,8 +465,8 @@ TEST(Dynamics, BarotropicRestStateStaysAtRest) {
     licomk::halo::BlockField2D ua("ua", m.local_grid().extent());
     licomk::halo::BlockField2D va("va", m.local_grid().extent());
     lc::PolarFilter filter(m.local_grid());
-    lc::run_barotropic(m.local_grid(), fx.cfg, s, m.exchanger(), filter, zero_g, zero_g2, ua,
-                       va);
+    auto group = subcycle_group(m);
+    lc::run_barotropic(m.local_grid(), fx.cfg, s, filter, zero_g, zero_g2, ua, va, *group);
     // No forcing, flat eta, zero velocity: everything remains zero.
     for (int j = 0; j < m.local_grid().ny_total(); ++j)
       for (int i = 0; i < m.local_grid().nx_total(); ++i) {
@@ -495,7 +509,8 @@ TEST(Dynamics, BarotropicConservesVolume) {
       return v;
     };
     double before = eta_volume();
-    lc::run_barotropic(g, fx.cfg, s, m.exchanger(), filter, zg, zg2, ua, va);
+    auto group = subcycle_group(m);
+    lc::run_barotropic(g, fx.cfg, s, filter, zg, zg2, ua, va, *group);
     double after = eta_volume();
     // Flux-form divergence over a closed/periodic domain: exact volume
     // conservation (relative to the basin's eta capacity).

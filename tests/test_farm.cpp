@@ -355,6 +355,9 @@ TEST(Farm, FailedTenantKeepsSupervisorForensics) {
   doomed.days = days_for_steps(cfg, 4);
   doomed.max_retries = 1;
   doomed.max_shrinks = 0;
+  // Two ranks, so rank 0 has deliveries to die on (on one rank every halo
+  // group exchange is a local self-copy that never reaches the World).
+  doomed.nranks = 2;
   // Rank 0 permanently dead: refires on every relaunch, no escape.
   doomed.faults = lr::FaultSchedule::parse("comm.deliver 0 1 crash+\n");
   const int idx = farm.submit(std::move(doomed));

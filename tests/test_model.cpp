@@ -112,6 +112,21 @@ TEST(Model, MultiRankMatchesSingleRank) {
   }
 }
 
+// On one rank every group exchange is a self-copy (zonal wrap, fold mirror):
+// neither construction nor a step ever hands a message to the World.
+TEST(Model, SingleRankStepDeliversNoWorldMessages) {
+  kxx::initialize(kxx::config_from_env({kxx::Backend::Serial, 1, false}));
+  auto cfg = small_config();
+  auto global = std::make_shared<licomk::grid::GlobalGrid>(cfg.grid, cfg.bathymetry_seed);
+  lco::World world(1);
+  lc::LicomModel m(cfg, global, world.communicator(0));
+  EXPECT_EQ(world.total_messages(), 0u);
+  m.step();
+  m.step();
+  EXPECT_EQ(world.total_messages(), 0u);
+  EXPECT_GT(m.exchanger().stats().equiv_messages, 0u);
+}
+
 namespace {
 
 /// Per-field CRC-64 fingerprint of the prognostic state (halo-inclusive:

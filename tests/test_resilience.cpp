@@ -375,47 +375,53 @@ TEST(Supervisor, RecoversFromInjectedCrashBitIdentically) {
   licomk::telemetry::reset();
   licomk::telemetry::set_enabled(true);
   const long long target_steps = 12;
+  // Two ranks, so a step has a real wire to crash on: on one rank every halo
+  // group exchange is a local self-copy and never reaches World::deliver.
+  const int nranks = 2;
   auto body = [target_steps](lc::LicomModel& m) {
     while (m.steps_taken() < target_steps) m.step();
   };
 
-  // Fault-free twin for the bit-identical comparison.
+  // Fault-free twin for the bit-identical comparison, armed with a
+  // never-firing sentinel so the injector's per-rank delivery counters tick:
+  // rank 0 records its delivery count at every step boundary, which places
+  // the crash mid-step below (checkpoint traffic included, exactly as the
+  // supervised attempt will replay it).
+  lr::FaultSchedule sentinel;
+  sentinel.add({lr::FaultSite::CommDeliver, lr::FaultKind::CrashRank, 0,
+                std::numeric_limits<std::uint64_t>::max(), 0.0});
+  lr::arm(sentinel);
+  std::vector<std::uint64_t> ops_after_step;  // rank 0's deliveries after step s + 1
   TempDir ref_dir("sup_ref");
   lr::SupervisorOptions ref_opts;
-  ref_opts.nranks = 1;
+  ref_opts.nranks = nranks;
   ref_opts.checkpoint_dir = ref_dir.path;
   ref_opts.checkpoint_every_steps = 4;
   lr::Supervisor ref_sup(ref_opts);
-  auto ref_report = ref_sup.run(small_config(), body);
+  auto ref_report = ref_sup.run(small_config(), [&](lc::LicomModel& m) {
+    while (m.steps_taken() < target_steps) {
+      m.step();
+      if (m.communicator().rank() == 0) {
+        ops_after_step.push_back(lr::op_count(lr::FaultSite::CommDeliver, 0));
+      }
+    }
+  });
   EXPECT_EQ(ref_report.attempts, 1);
   EXPECT_EQ(ref_report.recoveries, 0);
-
-  // Measure deliveries per step so the crash can be placed mid-run: a
-  // single-rank model exchanges with itself through World::deliver (periodic
-  // wrap + tripolar fold), so comm ops advance deterministically.
-  std::uint64_t construction_ops = 0, per_step_ops = 0;
-  {
-    lco::World probe(1);
-    auto c = probe.communicator(0);
-    auto global = std::make_shared<licomk::grid::GlobalGrid>(small_config().grid,
-                                                             small_config().bathymetry_seed);
-    lc::LicomModel m(small_config(), global, c);
-    construction_ops = probe.total_messages();
-    m.step();
-    per_step_ops = probe.total_messages() - construction_ops;
-  }
+  ASSERT_EQ(ops_after_step.size(), static_cast<std::size_t>(target_steps));
+  const std::uint64_t per_step_ops = ops_after_step[6] - ops_after_step[5];  // step 7
   ASSERT_GT(per_step_ops, 0u);
 
-  // Crash in the middle of step 7 of the first attempt: after the step-4
-  // checkpoint (generation 1), before the step-8 one.
+  // Crash rank 0 in the middle of step 7 of the first attempt: after the
+  // step-4 checkpoint (generation 1), before the step-8 one.
   lr::FaultSchedule s;
-  s.add({lr::FaultSite::CommDeliver, lr::FaultKind::CrashRank, -1,
-         construction_ops + per_step_ops * 6 + per_step_ops / 2, 0.0});
+  s.add({lr::FaultSite::CommDeliver, lr::FaultKind::CrashRank, 0,
+         ops_after_step[5] + per_step_ops / 2 + 1, 0.0});
   lr::arm(s);
 
   TempDir dir("sup_crash");
   lr::SupervisorOptions opts;
-  opts.nranks = 1;
+  opts.nranks = nranks;
   opts.checkpoint_dir = dir.path;
   opts.checkpoint_every_steps = 4;
   opts.max_retries = 3;
@@ -423,7 +429,8 @@ TEST(Supervisor, RecoversFromInjectedCrashBitIdentically) {
   lc::GlobalDiagnostics healed;
   auto report = sup.run(small_config(), [&](lc::LicomModel& m) {
     body(m);
-    healed = m.diagnostics();
+    const auto d = m.diagnostics();
+    if (m.communicator().rank() == 0) healed = d;
   });
   EXPECT_EQ(report.attempts, 2);
   EXPECT_EQ(report.recoveries, 1);
@@ -438,12 +445,13 @@ TEST(Supervisor, RecoversFromInjectedCrashBitIdentically) {
   // The recovered run ends bit-identical to the fault-free twin.
   lc::GlobalDiagnostics reference;
   lr::disarm();
-  lco::Runtime::run(1, [&](lco::Communicator& c) {
-    auto cfg = small_config();
-    auto global = std::make_shared<licomk::grid::GlobalGrid>(cfg.grid, cfg.bathymetry_seed);
+  const auto cfg = small_config();
+  auto global = std::make_shared<licomk::grid::GlobalGrid>(cfg.grid, cfg.bathymetry_seed);
+  lco::Runtime::run(nranks, [&](lco::Communicator& c) {
     lc::LicomModel m(cfg, global, c);
     body(m);
-    reference = m.diagnostics();
+    const auto d = m.diagnostics();
+    if (c.rank() == 0) reference = d;
   });
   EXPECT_DOUBLE_EQ(healed.mean_sst, reference.mean_sst);
   EXPECT_DOUBLE_EQ(healed.kinetic_energy, reference.kinetic_energy);
