@@ -170,40 +170,32 @@ int main() {
         msgs > 0.0 ? equiv / msgs : 0.0);
   }
 
-  // --- SIMD pack + kernel fusion ablation (§V-B idiom) --------------------
-  // The same model scalar-unfused vs fused at the compiled pack width.
-  // Outputs are bit-identical (tests/test_model.cpp CRC matrix); the lane
-  // gauges show how much of the packed work was real vs masked off at
-  // tails and land columns, and how many bytes of intermediate-field
-  // traffic the fused rho+p / tendency+means / hdiff / low-order pairs
-  // elided.
+  // --- SIMD pack-width ablation (§V-B idiom) ------------------------------
+  // The same model at pack width 1 (every packed kernel runs its pack_op<1>
+  // body) vs the compiled width. Outputs are bit-identical
+  // (tests/test_model.cpp CRC matrix); the lane gauges show how much of the
+  // packed work was real vs masked off at tails and land columns, and how
+  // many bytes of intermediate-field traffic the fused rho+p /
+  // tendency+means / hdiff / low-order pairs elided. The fused-vs-per-kernel
+  // chain comparison is BM_DynChain* in bench_model_kernels.
   {
-    core::ModelConfig scalar_cfg = optimized;
-    scalar_cfg.fuse_kernels = false;
-    core::ModelConfig fused_cfg = optimized;
-    fused_cfg.fuse_kernels = true;
-
     kxx::set_pack_size(1);
-    kxx::reset_pack_lane_counts();
-    kxx::reset_fusion_views_elided();
-    auto r_sc = run_variant(scalar_cfg, steps);
+    auto r_sc = run_variant(optimized, steps);
 
     kxx::set_pack_size(LICOMK_PACK_SIZE);
     kxx::reset_pack_lane_counts();
     kxx::reset_fusion_views_elided();
-    auto r_pk = run_variant(fused_cfg, steps);
+    auto r_pk = run_variant(optimized, steps);
     const double lanes_active = static_cast<double>(kxx::pack_lanes_active());
     const double lanes_masked = static_cast<double>(kxx::pack_lanes_masked());
     const double elided_mb = 1e-6 * static_cast<double>(kxx::fusion_views_elided_bytes());
-    kxx::set_pack_size(LICOMK_PACK_SIZE);
 
-    std::printf("\npack/fusion ablation — scalar-unfused vs packed(%d)-fused (%d steps)\n\n",
-                LICOMK_PACK_SIZE, steps);
+    std::printf("\npack-width ablation — pack 1 vs pack %d (%d steps)\n\n", LICOMK_PACK_SIZE,
+                steps);
     std::printf("%-16s %10s\n", "variant", "ms/step");
-    std::printf("%-16s %10.2f\n", "scalar-unfused", r_sc.ms_per_step);
-    std::printf("%-16s %10.2f\n", "packed-fused", r_pk.ms_per_step);
-    std::printf("\nmeasured speedup: %.2fx (gated in CI via ci/check_pack_fusion.py)\n",
-                r_sc.ms_per_step / r_pk.ms_per_step);
+    std::printf("%-16s %10.2f\n", "pack 1", r_sc.ms_per_step);
+    std::printf("pack %-11d %10.2f\n", LICOMK_PACK_SIZE, r_pk.ms_per_step);
+    std::printf("\nmeasured speedup: %.2fx\n", r_sc.ms_per_step / r_pk.ms_per_step);
     std::printf("lane utilization: %.0f active, %.0f masked (%.1f%% useful)\n", lanes_active,
                 lanes_masked,
                 lanes_active + lanes_masked > 0.0

@@ -67,7 +67,7 @@ static void BM_DensityAndPressure(benchmark::State& state) {
   auto& m = *h.model;
   for (auto _ : state) {
     lc::compute_density(m.local_grid(), false, m.state().t_cur, m.state().s_cur, m.state().rho);
-    lc::compute_pressure(m.local_grid(), m.state().rho, m.state().eta_cur, m.state().pressure);
+    lc::compute_pressure(m.local_grid(), m.state().rho, m.state().pressure);
   }
 }
 BENCHMARK(BM_DensityAndPressure)->Unit(benchmark::kMillisecond);
@@ -100,7 +100,7 @@ static void run_dyn_chain_unfused(lc::LicomModel& m, licomk::halo::BlockField2D&
                                   licomk::halo::BlockField2D& gv) {
   auto& s = m.state();
   lc::compute_density(m.local_grid(), false, s.t_cur, s.s_cur, s.rho);
-  lc::compute_pressure(m.local_grid(), s.rho, s.eta_cur, s.pressure);
+  lc::compute_pressure(m.local_grid(), s.rho, s.pressure);
   lc::compute_momentum_tendencies(m.local_grid(), m.config(), m.state(), 0.0, s.fu_tend,
                                   s.fv_tend);
   lc::vertical_mean(m.local_grid(), s.fu_tend, gu);
@@ -110,10 +110,10 @@ static void run_dyn_chain_unfused(lc::LicomModel& m, licomk::halo::BlockField2D&
 static void run_dyn_chain_fused(lc::LicomModel& m, licomk::halo::BlockField2D& gu,
                                 licomk::halo::BlockField2D& gv) {
   auto& s = m.state();
-  lc::compute_density_pressure_fused(m.local_grid(), false, s.t_cur, s.s_cur, s.rho, s.eta_cur,
+  lc::compute_density_pressure_fused(m.local_grid(), false, s.t_cur, s.s_cur, s.rho,
                                      s.pressure);
-  lc::compute_tendency_means_fused(m.local_grid(), m.config(), m.state(), 0.0, s.fu_tend,
-                                   s.fv_tend, gu, gv);
+  lc::compute_tendency_means(m.local_grid(), m.config(), m.state(), 0.0, s.fu_tend, s.fv_tend,
+                             gu, gv);
 }
 
 static void BM_DynChainScalarUnfused(benchmark::State& state) {
@@ -176,7 +176,7 @@ static void BM_TracerLimiterColumns(benchmark::State& state) {
   kxx::set_pack_size(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     lc::advect_tracer_pair(g, m.config().grid.dt_tracer, s.t_cur, s.s_cur, ws, scratch,
-                           qtd_group, s.t_new, s.s_new, /*fuse_low_order=*/true);
+                           qtd_group, s.t_new, s.s_new);
     lc::tracer_columns(g, m.config(), s, sw, 0.0);
     lc::baroclinic_update(g, m.config(), s, ubar, vbar);
   }
@@ -185,8 +185,8 @@ static void BM_TracerLimiterColumns(benchmark::State& state) {
 }
 BENCHMARK(BM_TracerLimiterColumns)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
 
-// Pack-vs-scalar on the fused tracer-hdiff pair path: full step at pack
-// width 1 vs the compiled width, fusion on in both.
+// Pack-vs-scalar on the full step: pack width 1 (every packed kernel runs
+// its pack_op<1> body) vs the compiled width.
 static void BM_FullStepPacked(benchmark::State& state) {
   ModelHolder h(8, 12, kxx::Backend::Serial);
   kxx::set_pack_size(static_cast<int>(state.range(0)));

@@ -11,6 +11,7 @@ catches order-of-magnitude regressions like an accidentally serialized kernel
 or a telemetry branch left enabled, not single-digit-percent drift.
 """
 import argparse
+import collections
 import json
 import sys
 
@@ -72,150 +73,98 @@ def check_build_type(path, role):
     return None
 
 
-# Gauge keys every tenant section of licomk_farm_gauges must carry — the
-# minimum needed to interpret the timings' multi-tenant regime (how many
-# steps each member ran, at what throughput, and whether it completed).
-_FARM_TENANT_KEYS = ("state", "steps", "sypd")
+_REGEN = "(regenerate with ci/update_baseline.sh)"
 
 
-def check_farm_context(path, role):
-    """Validate the OPTIONAL `licomk_farm_gauges` baseline-context section.
+# Shape of one OPTIONAL baseline-context gauge section. `keys` must all be
+# present as numbers — in the section itself, or in every tenant of its
+# non-empty `tenants` object when `per_tenant` is set. `invariants` are
+# (key, predicate, reason) triples checked once every key is well-formed; a
+# false predicate reports the key, its value and the reason.
+Section = collections.namedtuple("Section", "keys per_tenant invariants",
+                                 defaults=(False, ()))
 
-    ci/update_baseline.sh records the forecast-farm ensemble gauges (one
-    section per tenant) next to the timings, the same way it records the halo
-    gauges. Absence is fine — pre-farm baselines stay valid — but a present
-    section must be well-formed: a half-written farm context means the
-    baseline was regenerated against a broken farm run, and the regime the
-    timings were taken under is unknowable. Returns a list of error strings
-    (empty when acceptable); callers report them and exit 2, never a
-    traceback.
-    """
-    with open(path) as f:
-        context = json.load(f).get("context", {})
-    farm = context.get("licomk_farm_gauges")
-    if farm is None:
-        return []
-    where = f"{role} {path}: licomk_farm_gauges"
-    if not isinstance(farm, dict):
-        return [f"{where} must be an object, got {type(farm).__name__} "
-                "(regenerate with ci/update_baseline.sh)"]
-    tenants = farm.get("tenants")
-    if not isinstance(tenants, dict) or not tenants:
-        return [f"{where} has no tenant sections — expected a non-empty "
-                "'tenants' object keyed by tenant name "
-                "(regenerate with ci/update_baseline.sh)"]
+
+# The gauge sections ci/update_baseline.sh records next to the timings. Each
+# is optional — baselines from before the section existed stay valid — but a
+# present section must be well-formed: a half-written one means the baseline
+# was regenerated against a broken run, and the regime the timings were taken
+# under is unknowable.
+GAUGE_SCHEMA = {
+    # Forecast-farm ensemble, one section per tenant: how many steps each
+    # member ran, at what throughput, and whether it completed.
+    "licomk_farm_gauges": Section(("state", "steps", "sypd"), per_tenant=True),
+    # SIMD regime: lanes doing useful work vs masked off at tails/land, and
+    # the intermediate-field bytes kernel fusion elided.
+    "licomk_pack_gauges": Section(
+        ("kxx.pack.lanes_active", "kxx.pack.lanes_masked",
+         "kxx.fusion.views_elided_bytes"),
+        invariants=(
+            ("kxx.pack.lanes_active", lambda g: g["kxx.pack.lanes_active"] > 0,
+             "the bench run never took the packed path (regenerate with "
+             "ci/update_baseline.sh from a Release build)"),
+        )),
+    # Elastic resilience: the growback soak drill (shrink chain, a single
+    # grow-back, final size) plus the weighted-decomposition imbalance pair.
+    "licomk_elasticity_gauges": Section(
+        ("resilience.growbacks", "soak.shrinks", "soak.growbacks",
+         "soak.final_nranks", "soak.final_crc_match",
+         "decomp.weighted.imbalance_uniform",
+         "decomp.weighted.imbalance_weighted"),
+        invariants=(
+            ("resilience.growbacks", lambda g: g["resilience.growbacks"] >= 1,
+             f"the soak drill never grew back {_REGEN}"),
+            ("soak.final_crc_match", lambda g: g["soak.final_crc_match"] == 1,
+             "the healed run was not bit-identical to its uninterrupted twin"),
+            ("decomp.weighted.imbalance_weighted",
+             lambda g: g["decomp.weighted.imbalance_weighted"]
+             <= g["decomp.weighted.imbalance_uniform"] + 1e-12,
+             "exceeds decomp.weighted.imbalance_uniform — the ocean-aware "
+             "planner did worse than the uniform split"),
+        )),
+}
+
+
+def _check_gauges(where, gauges, section):
+    if not isinstance(gauges, dict):
+        return [f"{where} must be an object, got {type(gauges).__name__} {_REGEN}"]
     errors = []
-    for name, gauges in sorted(tenants.items()):
-        if not isinstance(gauges, dict):
-            errors.append(f"{where}: tenant '{name}' section must be an "
-                          f"object, got {type(gauges).__name__}")
-            continue
-        for key in _FARM_TENANT_KEYS:
-            if key not in gauges:
-                errors.append(f"{where}: tenant '{name}' is missing gauge "
-                              f"'{key}' (regenerate with ci/update_baseline.sh)")
-            elif not isinstance(gauges[key], (int, float)):
-                errors.append(f"{where}: tenant '{name}' gauge '{key}' must "
-                              f"be a number, got {type(gauges[key]).__name__}")
-    return errors
-
-
-# Gauge keys a licomk_pack_gauges section must carry — the SIMD regime the
-# timings were taken under (how many lanes did useful work, how many were
-# masked off at tails/land, and how many bytes of intermediate-field traffic
-# kernel fusion elided).
-_PACK_GAUGE_KEYS = ("kxx.pack.lanes_active", "kxx.pack.lanes_masked",
-                    "kxx.fusion.views_elided_bytes")
-
-
-def check_pack_context(path, role):
-    """Validate the OPTIONAL `licomk_pack_gauges` baseline-context section.
-
-    ci/update_baseline.sh records the kxx pack/fusion gauges from a
-    telemetry-enabled bench run next to the timings. Absence is fine —
-    pre-pack baselines stay valid — but a present section must carry every
-    gauge as a number: a half-written pack context means the vectorization
-    regime behind the timings is unknowable. Returns a list of error strings
-    (empty when acceptable); callers report them and exit 2.
-    """
-    with open(path) as f:
-        context = json.load(f).get("context", {})
-    pack = context.get("licomk_pack_gauges")
-    if pack is None:
-        return []
-    where = f"{role} {path}: licomk_pack_gauges"
-    if not isinstance(pack, dict):
-        return [f"{where} must be an object, got {type(pack).__name__} "
-                "(regenerate with ci/update_baseline.sh)"]
-    errors = []
-    for key in _PACK_GAUGE_KEYS:
-        if key not in pack:
-            errors.append(f"{where} is missing gauge '{key}' "
-                          "(regenerate with ci/update_baseline.sh)")
-        elif not isinstance(pack[key], (int, float)):
+    for key in section.keys:
+        if key not in gauges:
+            errors.append(f"{where} is missing gauge '{key}' {_REGEN}")
+        elif not isinstance(gauges[key], (int, float)):
             errors.append(f"{where}: gauge '{key}' must be a number, "
-                          f"got {type(pack[key]).__name__}")
-    if not errors and pack.get("kxx.pack.lanes_active", 0) <= 0:
-        errors.append(f"{where}: kxx.pack.lanes_active is "
-                      f"{pack.get('kxx.pack.lanes_active')} — the bench run "
-                      "never took the packed path (regenerate with "
-                      "ci/update_baseline.sh from a Release build)")
-    return errors
-
-
-# Keys a licomk_elasticity_gauges section must carry — the elastic-resilience
-# regime recorded from the growback soak drill (shrink chain, a single
-# grow-back, final size) plus the weighted-decomposition imbalance pair.
-_ELASTICITY_KEYS = ("resilience.growbacks", "soak.shrinks", "soak.growbacks",
-                    "soak.final_nranks", "soak.final_crc_match",
-                    "decomp.weighted.imbalance_uniform",
-                    "decomp.weighted.imbalance_weighted")
-
-
-def check_elasticity_context(path, role):
-    """Validate the OPTIONAL `licomk_elasticity_gauges` baseline-context section.
-
-    ci/update_baseline.sh records the growback soak drill's counters and
-    gauges next to the timings. Absence is fine — pre-elasticity baselines
-    stay valid — but a present section must carry every key as a number, the
-    drill must actually have grown back (growbacks >= 1, CRC match), and the
-    weighted planner must not have done worse than the uniform split. Returns
-    a list of error strings (empty when acceptable); callers report them and
-    exit 2.
-    """
-    with open(path) as f:
-        context = json.load(f).get("context", {})
-    ela = context.get("licomk_elasticity_gauges")
-    if ela is None:
-        return []
-    where = f"{role} {path}: licomk_elasticity_gauges"
-    if not isinstance(ela, dict):
-        return [f"{where} must be an object, got {type(ela).__name__} "
-                "(regenerate with ci/update_baseline.sh)"]
-    errors = []
-    for key in _ELASTICITY_KEYS:
-        if key not in ela:
-            errors.append(f"{where} is missing '{key}' "
-                          "(regenerate with ci/update_baseline.sh)")
-        elif not isinstance(ela[key], (int, float)):
-            errors.append(f"{where}: '{key}' must be a number, "
-                          f"got {type(ela[key]).__name__}")
+                          f"got {type(gauges[key]).__name__}")
     if errors:
         return errors
-    if ela["resilience.growbacks"] < 1:
-        errors.append(f"{where}: resilience.growbacks is "
-                      f"{ela['resilience.growbacks']} — the soak drill never "
-                      "grew back (regenerate with ci/update_baseline.sh)")
-    if ela["soak.final_crc_match"] != 1:
-        errors.append(f"{where}: soak.final_crc_match is "
-                      f"{ela['soak.final_crc_match']} — the healed run was "
-                      "not bit-identical to its uninterrupted twin")
-    if ela["decomp.weighted.imbalance_weighted"] > \
-            ela["decomp.weighted.imbalance_uniform"] + 1e-12:
-        errors.append(f"{where}: weighted imbalance "
-                      f"{ela['decomp.weighted.imbalance_weighted']} exceeds "
-                      f"uniform {ela['decomp.weighted.imbalance_uniform']} — "
-                      "the ocean-aware planner did worse than the uniform split")
+    return [f"{where}: {key} is {gauges[key]} — {reason}"
+            for key, holds, reason in section.invariants if not holds(gauges)]
+
+
+def check_gauge_context(path, role):
+    """Validate every GAUGE_SCHEMA section present in the file's context.
+
+    Returns a list of error strings naming the section, tenant and key (empty
+    when acceptable); callers report them and exit 2, never a traceback.
+    """
+    with open(path) as f:
+        context = json.load(f).get("context", {})
+    errors = []
+    for name, section in GAUGE_SCHEMA.items():
+        value = context.get(name)
+        if value is None:
+            continue
+        where = f"{role} {path}: {name}"
+        if not isinstance(value, dict):
+            errors.append(f"{where} must be an object, got {type(value).__name__} {_REGEN}")
+        elif not section.per_tenant:
+            errors += _check_gauges(where, value, section)
+        elif not isinstance(value.get("tenants"), dict) or not value["tenants"]:
+            errors.append(f"{where} has no tenant sections — expected a non-empty "
+                          f"'tenants' object keyed by tenant name {_REGEN}")
+        else:
+            for tenant, gauges in sorted(value["tenants"].items()):
+                errors += _check_gauges(f"{where}: tenant '{tenant}'", gauges, section)
     return errors
 
 
@@ -230,12 +179,8 @@ def main():
     build_errors = [e for e in (check_build_type(args.baseline, "baseline"),
                                 check_build_type(args.current, "current"))
                     if e is not None]
-    build_errors += check_farm_context(args.baseline, "baseline")
-    build_errors += check_farm_context(args.current, "current")
-    build_errors += check_pack_context(args.baseline, "baseline")
-    build_errors += check_pack_context(args.current, "current")
-    build_errors += check_elasticity_context(args.baseline, "baseline")
-    build_errors += check_elasticity_context(args.current, "current")
+    build_errors += check_gauge_context(args.baseline, "baseline")
+    build_errors += check_gauge_context(args.current, "current")
     if build_errors:
         for e in build_errors:
             print(f"error: {e}", file=sys.stderr)

@@ -47,7 +47,7 @@ base.setdefault("context", {})["licomk_halo_gauges"] = keep
 print(f"recorded {len(keep)} halo gauges in baseline context")
 
 # The multi-tenant regime next to the timings: one section per farm tenant
-# (validated by ci/check_perf.py's check_farm_context), plus the ensemble
+# (validated by ci/check_perf.py's GAUGE_SCHEMA), plus the ensemble
 # summary gauges.
 with open(farm_path) as f:
     fg = json.load(f).get("gauges", {})
@@ -65,7 +65,7 @@ print(f"recorded {len(tenants)} farm tenant sections in baseline context")
 
 # The SIMD regime behind the timings: pack lane utilization and fused-kernel
 # traffic elision from the bench run itself (validated by ci/check_perf.py's
-# check_pack_context).
+# GAUGE_SCHEMA).
 with open(bench_metrics_path) as f:
     bg = json.load(f).get("gauges", {})
 pack = {k: v for k, v in sorted(bg.items())
@@ -75,7 +75,7 @@ print(f"recorded {len(pack)} pack/fusion gauges in baseline context")
 
 # The elastic-resilience regime: the growback soak drill's shrink/grow-back
 # counters and the weighted-decomposition imbalance pair (validated by
-# ci/check_perf.py's check_elasticity_context).
+# ci/check_perf.py's GAUGE_SCHEMA).
 with open(growback_path) as f:
     gm = json.load(f)
 gc, gg = gm.get("counters", {}), gm.get("gauges", {})

@@ -192,34 +192,13 @@ struct FusedLowOrderPair {
   double dt;
 
   void operator()(long long k, long long j, long long i) const {
-    if (!g.active(k, j, i)) {
-      qa_td(k, j, i) = qa(k, j, i);
-      qb_td(k, j, i) = qb(k, j, i);
-      return;
-    }
-    auto lo_e = [&](const CF3& q, long long jj, long long ii) {
-      return upwind_flux(fe(k, jj, ii), q(k, jj, ii), q(k, jj, ii + 1));
-    };
-    auto lo_n = [&](const CF3& q, long long jj, long long ii) {
-      return upwind_flux(fn(k, jj, ii), q(k, jj, ii), q(k, jj + 1, ii));
-    };
-    auto lo_t = [&](const CF3& q, long long kk) {
-      if (kk <= 0 || kk >= g.kmt(j, i)) return 0.0;
-      return upwind_flux(w(kk, j, i), q(kk, j, i), q(kk - 1, j, i));
-    };
-    double vol = g.area(j, i) * g.dz[k];
-    double div_a = lo_e(qa, j, i) - lo_e(qa, j, i - 1) + lo_n(qa, j, i) - lo_n(qa, j - 1, i) +
-                   lo_t(qa, k) - lo_t(qa, k + 1);
-    if (k == 0) div_a += qa(0, j, i) * w(0, j, i);
-    qa_td(k, j, i) = qa(k, j, i) - dt * div_a / vol;
-    double div_b = lo_e(qb, j, i) - lo_e(qb, j, i - 1) + lo_n(qb, j, i) - lo_n(qb, j - 1, i) +
-                   lo_t(qb, k) - lo_t(qb, k + 1);
-    if (k == 0) div_b += qb(0, j, i) * w(0, j, i);
-    qb_td(k, j, i) = qb(k, j, i) - dt * div_b / vol;
+    pack_op<1>(k, j, i, kxx::Mask<1>::all_true());
   }
 
-  /// Packed form. No LevelsRef at the dispatch: inactive cells still write
-  /// the passthrough qtd = q, exactly as the scalar early-out does. The
+  /// Packed form, and through pack_op<1> the scalar body (AthreadSim, pack
+  /// width 1). No LevelsRef at the dispatch: inactive cells still write the
+  /// passthrough qtd = q, exactly as LowOrder's early-out does. Partial
+  /// i-tails need no fallback: every load and store is masked. The
   /// horizontal flux/tracer neighborhoods load as Packs; the upwind selects
   /// and the guarded vertical faces stay lane-scalar (data-dependent
   /// branches), reading their lanes out of the loaded packs.
@@ -547,6 +526,24 @@ kxx::MDRangePolicy3 cells3(const LocalGrid& g, int margin) {
                              {g.nz(), g.ny_total() - margin, g.nx_total() - margin});
 }
 
+/// Stage 2b for one tracer, shared by both advection entry points: the
+/// anti-diffusive fluxes over the full face-valid regions (the limiter reads
+/// them one ring out).
+void anti_diffusive_fluxes(const LocalGrid& g, const adv::Geo& geo, const halo::BlockField3D& q,
+                           const AdvectionWorkspace& ws, halo::BlockField3D& a_e,
+                           halo::BlockField3D& a_n, halo::BlockField3D& a_t) {
+  const int nyt = g.ny_total();
+  const int nxt = g.nx_total();
+  adv::AntiDiffEast ade{geo, cref(q), cref(ws.flux_e), mref(a_e)};
+  kxx::parallel_for("adv_anti_east", kxx::MDRangePolicy3({0, 1, 0}, {g.nz(), nyt, nxt - 1}),
+                    ade);
+  adv::AntiDiffNorth adn{geo, cref(q), cref(ws.flux_n), mref(a_n)};
+  kxx::parallel_for("adv_anti_north", kxx::MDRangePolicy3({0, 0, 1}, {g.nz(), nyt - 1, nxt}),
+                    adn);
+  adv::AntiDiffTop adt{geo, cref(q), cref(ws.w_top), mref(a_t)};
+  kxx::parallel_for("adv_anti_top", cells3(g, 1), adt);
+}
+
 /// Stages 3-4 for one tracer, shared by both advection entry points: the
 /// limiter factors on interior + 1 ring, then the corrected update on the
 /// interior, both packed across i.
@@ -617,11 +614,9 @@ void advect_tracer_fct(const LocalGrid& g, double dt, const halo::BlockField3D& 
                        AdvectionWorkspace& ws, halo::HaloExchanger& exchanger,
                        halo::BlockField3D& q_out) {
   adv::Geo geo = make_geo(g);
-  const int nyt = g.ny_total();
-  const int nxt = g.nx_total();
 
-  // Stage 2: monotone predictor on interior + 1 ring, anti-diffusive fluxes
-  // over the full face-valid regions (the limiter reads them one ring out).
+  // Stage 2: monotone predictor on interior + 1 ring, then the
+  // anti-diffusive fluxes.
   adv::LowOrder lo{geo, cref(q), cref(ws.flux_e), cref(ws.flux_n), cref(ws.w_top),
                    mref(ws.q_td), dt};
   kxx::parallel_for("adv_low_order", cells3(g, 1), lo);
@@ -633,14 +628,7 @@ void advect_tracer_fct(const LocalGrid& g, double dt, const halo::BlockField3D& 
   // so they compute while the q_td boundary messages are in flight.
   auto pending = exchanger.begin_update(ws.q_td);
 
-  adv::AntiDiffEast ade{geo, cref(q), cref(ws.flux_e), mref(ws.a_e)};
-  kxx::parallel_for("adv_anti_east", kxx::MDRangePolicy3({0, 1, 0}, {g.nz(), nyt, nxt - 1}),
-                    ade);
-  adv::AntiDiffNorth adn{geo, cref(q), cref(ws.flux_n), mref(ws.a_n)};
-  kxx::parallel_for("adv_anti_north", kxx::MDRangePolicy3({0, 0, 1}, {g.nz(), nyt - 1, nxt}),
-                    adn);
-  adv::AntiDiffTop adt{geo, cref(q), cref(ws.w_top), mref(ws.a_t)};
-  kxx::parallel_for("adv_anti_top", cells3(g, 1), adt);
+  anti_diffusive_fluxes(g, geo, q, ws, ws.a_e, ws.a_n, ws.a_t);
 
   exchanger.finish_update(pending);
 
@@ -659,32 +647,20 @@ TracerAdvScratch::TracerAdvScratch(const LocalGrid& g)
 void advect_tracer_pair(const LocalGrid& g, double dt, const halo::BlockField3D& qa,
                         const halo::BlockField3D& qb, AdvectionWorkspace& ws,
                         TracerAdvScratch& scratch, halo::PersistentGroup& qtd_group,
-                        halo::BlockField3D& qa_out, halo::BlockField3D& qb_out,
-                        bool fuse_low_order) {
+                        halo::BlockField3D& qa_out, halo::BlockField3D& qb_out) {
   adv::Geo geo = make_geo(g);
-  const int nyt = g.ny_total();
-  const int nxt = g.nx_total();
 
   // Monotone predictors for both tracers before any communication, so the
-  // whole aggregated q_td exchange overlaps both tracers' flux kernels.
-  if (fuse_low_order) {
-    // Fused + packed: one sweep shares the fe/fn/w loads between both
-    // tracers' donor-cell updates (bit-identical to the two passes below).
-    adv::FusedLowOrderPair lo{geo,           cref(qa),       cref(qb),
-                              cref(ws.flux_e), cref(ws.flux_n), cref(ws.w_top),
-                              mref(ws.q_td), mref(scratch.q_td), dt};
-    kxx::parallel_for_packed("adv_low_order_pair", cells3(g, 1), lo);
-    // Elided: the second predictor's re-reads of the three flux fields.
-    kxx::note_fusion_views_elided(3LL * g.nz() * (g.ny_total() - 2) * (g.nx_total() - 2) *
-                                  static_cast<long long>(sizeof(double)));
-  } else {
-    adv::LowOrder lo_a{geo, cref(qa), cref(ws.flux_e), cref(ws.flux_n), cref(ws.w_top),
-                       mref(ws.q_td), dt};
-    kxx::parallel_for("adv_low_order", cells3(g, 1), lo_a);
-    adv::LowOrder lo_b{geo, cref(qb), cref(ws.flux_e), cref(ws.flux_n), cref(ws.w_top),
-                       mref(scratch.q_td), dt};
-    kxx::parallel_for("adv_low_order", cells3(g, 1), lo_b);
-  }
+  // whole aggregated q_td exchange overlaps both tracers' flux kernels. One
+  // fused, packed sweep shares the fe/fn/w loads between both tracers'
+  // donor-cell updates (bit-identical to two LowOrder passes).
+  adv::FusedLowOrderPair lo{geo,             cref(qa),        cref(qb),
+                            cref(ws.flux_e), cref(ws.flux_n), cref(ws.w_top),
+                            mref(ws.q_td),   mref(scratch.q_td), dt};
+  kxx::parallel_for_packed("adv_low_order_pair", cells3(g, 1), lo);
+  // Elided: the second predictor's re-reads of the three flux fields.
+  kxx::note_fusion_views_elided(3LL * g.nz() * (g.ny_total() - 2) * (g.nx_total() - 2) *
+                                static_cast<long long>(sizeof(double)));
   ws.q_td.mark_dirty();
   scratch.q_td.mark_dirty();
 
@@ -692,23 +668,8 @@ void advect_tracer_pair(const LocalGrid& g, double dt, const halo::BlockField3D&
   // traffic of the step collapses to one message per peer per phase.
   qtd_group.begin();
 
-  adv::AntiDiffEast ade_a{geo, cref(qa), cref(ws.flux_e), mref(ws.a_e)};
-  kxx::parallel_for("adv_anti_east", kxx::MDRangePolicy3({0, 1, 0}, {g.nz(), nyt, nxt - 1}),
-                    ade_a);
-  adv::AntiDiffNorth adn_a{geo, cref(qa), cref(ws.flux_n), mref(ws.a_n)};
-  kxx::parallel_for("adv_anti_north", kxx::MDRangePolicy3({0, 0, 1}, {g.nz(), nyt - 1, nxt}),
-                    adn_a);
-  adv::AntiDiffTop adt_a{geo, cref(qa), cref(ws.w_top), mref(ws.a_t)};
-  kxx::parallel_for("adv_anti_top", cells3(g, 1), adt_a);
-
-  adv::AntiDiffEast ade_b{geo, cref(qb), cref(ws.flux_e), mref(scratch.a_e)};
-  kxx::parallel_for("adv_anti_east", kxx::MDRangePolicy3({0, 1, 0}, {g.nz(), nyt, nxt - 1}),
-                    ade_b);
-  adv::AntiDiffNorth adn_b{geo, cref(qb), cref(ws.flux_n), mref(scratch.a_n)};
-  kxx::parallel_for("adv_anti_north", kxx::MDRangePolicy3({0, 0, 1}, {g.nz(), nyt - 1, nxt}),
-                    adn_b);
-  adv::AntiDiffTop adt_b{geo, cref(qb), cref(ws.w_top), mref(scratch.a_t)};
-  kxx::parallel_for("adv_anti_top", cells3(g, 1), adt_b);
+  anti_diffusive_fluxes(g, geo, qa, ws, ws.a_e, ws.a_n, ws.a_t);
+  anti_diffusive_fluxes(g, geo, qb, ws, scratch.a_e, scratch.a_n, scratch.a_t);
 
   qtd_group.finish();
 

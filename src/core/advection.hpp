@@ -71,17 +71,12 @@ struct TracerAdvScratch {
 /// (ws.q_td, scratch.q_td); its cached plan is reused every call.
 /// Bit-identical to two sequential advect_tracer_fct calls (asserted in
 /// test_advection); tracer `qa` uses the workspace scratch, `qb` the
-/// TracerAdvScratch.
-///
-/// `fuse_low_order` runs BOTH tracers' monotone predictors as one fused,
-/// packed sweep (FusedLowOrderPairK): the volume-flux loads fe/fn/w are
-/// shared instead of re-read per tracer. Bit-identical either way; callers
-/// should gate it on ModelConfig::fuse_kernels and leave it off on the
-/// AthreadSim backend (ci/check_ldm_staging.py gates on the unfused labels).
+/// TracerAdvScratch. Both tracers' monotone predictors run as one fused,
+/// packed sweep (FusedLowOrderPair, on every backend): the volume-flux loads
+/// fe/fn/w are shared instead of re-read per tracer.
 void advect_tracer_pair(const LocalGrid& g, double dt, const halo::BlockField3D& qa,
                         const halo::BlockField3D& qb, AdvectionWorkspace& ws,
                         TracerAdvScratch& scratch, halo::PersistentGroup& qtd_group,
-                        halo::BlockField3D& qa_out, halo::BlockField3D& qb_out,
-                        bool fuse_low_order = false);
+                        halo::BlockField3D& qa_out, halo::BlockField3D& qb_out);
 
 }  // namespace licomk::core

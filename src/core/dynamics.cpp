@@ -29,10 +29,6 @@ struct DensityK {
 struct PressureK {
   CI2 kmt;
   CF3 rho;
-  CF2 eta;  ///< unused by the integral; kept so the kernel signature matches
-            ///< the readyt call shape (the surface slope force belongs to the
-            ///< barotropic sub-system only — including g*eta here would
-            ///< double-count it against barotr's -g*grad(eta)).
   F3 p;
   const double* zc = nullptr;
   const double* dz = nullptr;
@@ -155,20 +151,7 @@ struct FusedDensityPressureK {
   int linear = 0;
 
   void operator()(long long j, long long i) const {
-    const int nlev = kmt(j, i);
-    if (nlev == 0) return;
-    double rk = density(linear != 0, t(0, j, i), s(0, j, i), zc[0]);
-    rho(0, j, i) = rk;
-    double pk = kGravity * rk * 0.5 * dz[0] / kRho0;
-    p(0, j, i) = pk;
-    for (int k = 1; k < nlev; ++k) {
-      double rprev = rk;
-      rk = density(linear != 0, t(k, j, i), s(k, j, i), zc[k]);
-      rho(k, j, i) = rk;
-      double dzc = zc[k] - zc[k - 1];
-      pk += kGravity * 0.5 * (rprev + rk) * dzc / kRho0;
-      p(k, j, i) = pk;
-    }
+    pack_op<1>(j, i, kxx::Mask<1>::all_true());
   }
 
   /// Packed form: N adjacent columns advance level-by-level. The EOS stays
@@ -178,8 +161,9 @@ struct FusedDensityPressureK {
   /// loads/stores (every lane is live, so every address is in-bounds), and
   /// each deeper column is finished by the scalar recurrence seeded from the
   /// prefix registers. Packs holding a dead lane (land or tail) delegate to
-  /// the scalar body per live lane — per-level mask bookkeeping there costs
-  /// more than the vector integral saves.
+  /// pack_op<1> per live lane — per-level mask bookkeeping there costs more
+  /// than the vector integral saves. pack_op<1> is also the scalar body
+  /// (AthreadSim, pack width 1); its only lane is live whenever nmin > 0.
   template <int N>
   void pack_op(long long j, long long i0, const kxx::Mask<N>& cols) const {
     int nlev[N];
@@ -189,8 +173,10 @@ struct FusedDensityPressureK {
       nmin = nlev[l] < nmin ? nlev[l] : nmin;
     }
     if (nmin == 0) {
-      for (int l = 0; l < N; ++l)
-        if (nlev[l] > 0) (*this)(j, i0 + l);
+      if constexpr (N > 1) {
+        for (int l = 0; l < N; ++l)
+          if (nlev[l] > 0) pack_op<1>(j, i0 + l, kxx::Mask<1>::all_true());
+      }
       return;
     }
     kxx::Pack<double, N> rk, pk;
@@ -244,56 +230,7 @@ struct FusedTendencyMeanK {
   int nz = 0;
 
   void operator()(long long j, long long i) const {
-    const int nlev = kmu(j, i);
-    double inv_dx = 1.0 / dxu(j, i);
-    double inv_dy = 1.0 / dyu(j, i);
-    double num_u = 0.0;
-    double num_v = 0.0;
-    double den = 0.0;
-    for (int k = 0; k < nz; ++k) {
-      if (k >= nlev) {
-        fu(k, j, i) = 0.0;
-        fv(k, j, i) = 0.0;
-        continue;
-      }
-      double dpdx =
-          0.5 * ((p(k, j, i + 1) + p(k, j + 1, i + 1)) - (p(k, j, i) + p(k, j + 1, i))) * inv_dx;
-      double dpdy =
-          0.5 * ((p(k, j + 1, i) + p(k, j + 1, i + 1)) - (p(k, j, i) + p(k, j, i + 1))) * inv_dy;
-      double uc = u(k, j, i);
-      double vc = v(k, j, i);
-      double dudx = 0.5 * (u(k, j, i + 1) - u(k, j, i - 1)) * inv_dx;
-      double dudy = 0.5 * (u(k, j + 1, i) - u(k, j - 1, i)) * inv_dy;
-      double dvdx = 0.5 * (v(k, j, i + 1) - v(k, j, i - 1)) * inv_dx;
-      double dvdy = 0.5 * (v(k, j + 1, i) - v(k, j - 1, i)) * inv_dy;
-      double lap_u = (u(k, j, i + 1) - 2.0 * uc + u(k, j, i - 1)) * inv_dx * inv_dx +
-                     (u(k, j + 1, i) - 2.0 * uc + u(k, j - 1, i)) * inv_dy * inv_dy;
-      double lap_v = (v(k, j, i + 1) - 2.0 * vc + v(k, j, i - 1)) * inv_dx * inv_dx +
-                     (v(k, j + 1, i) - 2.0 * vc + v(k, j - 1, i)) * inv_dy * inv_dy;
-      double gu = -dpdx - (uc * dudx + vc * dudy) + viscosity * lap_u;
-      double gv = -dpdy - (uc * dvdx + vc * dvdy) + viscosity * lap_v;
-      if (k == 0) {
-        SurfaceForcing f = climatological_forcing(lon(j, i), lat(j, i), day_of_year);
-        gu += wind_scale * f.tau_x / (kRho0 * dz[0]);
-        gv += wind_scale * f.tau_y / (kRho0 * dz[0]);
-      }
-      if (k == nlev - 1) {
-        gu -= bottom_drag * uc / dz[k];
-        gv -= bottom_drag * vc / dz[k];
-      }
-      fu(k, j, i) = gu;
-      fv(k, j, i) = gv;
-      num_u += gu * dz[k];
-      num_v += gv * dz[k];
-      den += dz[k];
-    }
-    if (nlev == 0) {
-      gu_bar(j, i) = 0.0;
-      gv_bar(j, i) = 0.0;
-    } else {
-      gu_bar(j, i) = num_u / den;
-      gv_bar(j, i) = num_v / den;
-    }
+    pack_op<1>(j, i, kxx::Mask<1>::all_true());
   }
 
   /// Packed form over N adjacent corners. Stencil math runs as Pack ops
@@ -307,14 +244,17 @@ struct FusedTendencyMeanK {
   /// below-bottom lanes may read whatever the array holds — their results
   /// are discarded by the masked stores/accumulation and elementwise lane
   /// math cannot leak across lanes. The rare partial tail pack (at most one
-  /// per row) falls back to the scalar body per live lane.
+  /// per row) falls back to pack_op<1> per live lane; pack_op<1> is also the
+  /// scalar body (pack width 1).
   template <int N>
   void pack_op(long long j, long long i0, const kxx::Mask<N>& tail) const {
     using P = kxx::Pack<double, N>;
-    if (!tail.all()) {
-      for (int l = 0; l < N; ++l)
-        if (tail[l]) (*this)(j, i0 + l);
-      return;
+    if constexpr (N > 1) {
+      if (!tail.all()) {
+        for (int l = 0; l < N; ++l)
+          if (tail[l]) pack_op<1>(j, i0 + l, kxx::Mask<1>::all_true());
+        return;
+      }
     }
     int nlev[N];
     int nmin = nz;
@@ -427,20 +367,17 @@ struct BarotropicEtaK {
   CF2 dxu, dyu, area, ubar, vbar, eta_old;
   F2 eta_new;
   const double* iface = nullptr;  ///< nz+1 interface depths
-  CI2 kmt_for_h;                  ///< same as kmt (column depth lookup)
   double dt2 = 0.0;
   long long seam_j = -2;  ///< closed fold seam (volume conservation)
   int fp32 = 0;           ///< mixed-precision substep arithmetic (§VIII)
 
-  double column_depth(long long j, long long i) const { return iface[kmt_for_h(j, i)]; }
+  double column_depth(long long j, long long i) const { return iface[kmt(j, i)]; }
 
   void operator()(long long j, long long i) const {
     if (kmt(j, i) == 0) {
       eta_new(j, i) = 0.0;
       return;
     }
-    double h_c = column_depth(j, i);
-    (void)h_c;
     // min(depth of both sides) keeps transport out of shallow cells bounded.
     auto flux_e = [&](long long jj, long long ii) {
       if (kmt(jj, ii) == 0 || kmt(jj, ii + 1) == 0) return 0.0;
@@ -682,8 +619,8 @@ void compute_density(const LocalGrid& g, bool linear_eos, const halo::BlockField
 }
 
 void compute_pressure(const LocalGrid& g, const halo::BlockField3D& rho,
-                      const halo::BlockField2D& eta, halo::BlockField3D& pressure) {
-  dyn::PressureK f{cref(g.kmt_view()), cref(rho), cref(eta), mref(pressure),
+                      halo::BlockField3D& pressure) {
+  dyn::PressureK f{cref(g.kmt_view()), cref(rho), mref(pressure),
                    g.vertical().centers().data(), g.vertical().thicknesses().data()};
   kxx::parallel_for("dyn_pressure",
                     kxx::MDRangePolicy2({0, 0}, {g.ny_total(), g.nx_total()}), f);
@@ -726,9 +663,7 @@ void vertical_mean(const LocalGrid& g, const halo::BlockField3D& x3, halo::Block
 
 void compute_density_pressure_fused(const LocalGrid& g, bool linear_eos,
                                     const halo::BlockField3D& t, const halo::BlockField3D& s,
-                                    halo::BlockField3D& rho, const halo::BlockField2D& eta,
-                                    halo::BlockField3D& pressure) {
-  (void)eta;  // like PressureK's: surface slope belongs to the barotr subsystem
+                                    halo::BlockField3D& rho, halo::BlockField3D& pressure) {
   dyn::FusedDensityPressureK f{cref(g.kmt_view()),
                                cref(t),
                                cref(s),
@@ -749,10 +684,17 @@ void compute_density_pressure_fused(const LocalGrid& g, bool linear_eos,
   pressure.mark_dirty();
 }
 
-void compute_tendency_means_fused(const LocalGrid& g, const ModelConfig& cfg,
-                                  const OceanState& state, double day_of_year,
-                                  halo::BlockField3D& fu, halo::BlockField3D& fv,
-                                  halo::BlockField2D& gu_bar, halo::BlockField2D& gv_bar) {
+void compute_tendency_means(const LocalGrid& g, const ModelConfig& cfg,
+                            const OceanState& state, double day_of_year, halo::BlockField3D& fu,
+                            halo::BlockField3D& fv, halo::BlockField2D& gu_bar,
+                            halo::BlockField2D& gv_bar) {
+  if (kxx::stages_through_ldm()) {
+    // The staged per-kernel forms: TendencyK carries the LDM footprint.
+    compute_momentum_tendencies(g, cfg, state, day_of_year, fu, fv);
+    vertical_mean(g, fu, gu_bar);
+    vertical_mean(g, fv, gv_bar);
+    return;
+  }
   const auto& gh = g.global().h();
   double dx_mean = gh.dx_t(gh.ny() / 2, gh.nx() / 2);
   dyn::FusedTendencyMeanK f{cref(g.kmu_view()),
@@ -812,8 +754,7 @@ void run_barotropic(const LocalGrid& g, const ModelConfig& cfg, OceanState& stat
     // eta leapfrog.
     dyn::BarotropicEtaK ek{cref(g.kmt_view()), cref(g.dxu_view()), cref(g.dyu_view()),
                            cref(g.area_view()), cref(state.ubar_cur), cref(state.vbar_cur),
-                           cref(state.eta_old), mref(state.eta_new), iface,
-                           cref(g.kmt_view()), 2.0 * dtb,
+                           cref(state.eta_old), mref(state.eta_new), iface, 2.0 * dtb,
                            g.seam_row() >= 0 ? g.seam_row() : -2,
                            cfg.fp32_barotropic ? 1 : 0};
     kxx::parallel_for("barotr_eta", interior2(g), ek);

@@ -14,16 +14,19 @@
 
 namespace licomk::core {
 
-/// readyt 1: density anomaly from the EOS (masked land untouched).
+/// Density anomaly from the EOS (masked land untouched). The per-kernel
+/// reference for compute_density_pressure_fused.
 void compute_density(const LocalGrid& g, bool linear_eos, const halo::BlockField3D& t,
                      const halo::BlockField3D& s, halo::BlockField3D& rho);
 
-/// readyt 2: hydrostatic pressure / rho0 (m^2/s^2) including the free-surface
-/// contribution g*eta.
+/// Hydrostatic pressure / rho0 (m^2/s^2) of the density alone: no g*eta
+/// term, because barotr owns the surface slope force -g*grad(eta) and adding
+/// it here would count it twice. The per-kernel reference for
+/// compute_density_pressure_fused.
 void compute_pressure(const LocalGrid& g, const halo::BlockField3D& rho,
-                      const halo::BlockField2D& eta, halo::BlockField3D& pressure);
+                      halo::BlockField3D& pressure);
 
-/// readyc: explicit momentum tendencies at U corners — baroclinic pressure
+/// Explicit momentum tendencies at U corners — baroclinic pressure
 /// gradient, centered horizontal advection, Laplacian viscosity, wind stress
 /// in the top layer, linear bottom drag in the deepest active layer.
 /// Coriolis is NOT included (handled semi-implicitly in the updates).
@@ -34,24 +37,23 @@ void compute_momentum_tendencies(const LocalGrid& g, const ModelConfig& cfg,
 /// Vertical mean of a U-corner field weighted by layer thickness (2-D out).
 void vertical_mean(const LocalGrid& g, const halo::BlockField3D& x3, halo::BlockField2D& out);
 
-/// Fused readyt: density and the hydrostatic pressure integral in ONE column
+/// readyt: density and the hydrostatic pressure integral in ONE column
 /// sweep — ρ(k) stays in registers while the integral accumulates, eliding
 /// the pressure kernel's full re-read of the rho View. Packed (SIMD) over i
-/// when the pack width allows. Bit-identical to compute_density +
-/// compute_pressure (DESIGN.md §12).
+/// when the pack width allows; the same fused kernel runs on every backend.
+/// Bit-identical to compute_density + compute_pressure (DESIGN.md §12).
 void compute_density_pressure_fused(const LocalGrid& g, bool linear_eos,
                                     const halo::BlockField3D& t, const halo::BlockField3D& s,
-                                    halo::BlockField3D& rho, const halo::BlockField2D& eta,
-                                    halo::BlockField3D& pressure);
+                                    halo::BlockField3D& rho, halo::BlockField3D& pressure);
 
-/// Fused readyc: momentum tendencies and BOTH dz-weighted vertical means in
-/// one column sweep — gu/gv accumulate into the means from registers, eliding
-/// the two vertical_mean re-reads of fu/fv. Packed over i. Bit-identical to
-/// compute_momentum_tendencies + 2× vertical_mean.
-void compute_tendency_means_fused(const LocalGrid& g, const ModelConfig& cfg,
-                                  const OceanState& state, double day_of_year,
-                                  halo::BlockField3D& fu, halo::BlockField3D& fv,
-                                  halo::BlockField2D& gu_bar, halo::BlockField2D& gv_bar);
+/// readyc: momentum tendencies and BOTH dz-weighted vertical means in one
+/// fused column sweep packed over i (eliding vertical_mean's re-reads of
+/// fu/fv), or, where kxx::stages_through_ldm(), the LDM-staged per-kernel
+/// compute_momentum_tendencies + 2× vertical_mean. Bit-identical either way.
+void compute_tendency_means(const LocalGrid& g, const ModelConfig& cfg,
+                            const OceanState& state, double day_of_year, halo::BlockField3D& fu,
+                            halo::BlockField3D& fv, halo::BlockField2D& gu_bar,
+                            halo::BlockField2D& gv_bar);
 
 /// barotr: run the barotropic sub-cycle for one baroclinic step. Uses the
 /// depth-mean of (fu, fv) as steady forcing, leapfrogs (eta, ubar, vbar) with

@@ -246,21 +246,10 @@ void LicomModel::step() {
     group.exchange();
   }
 
-  // Fused + packed dynamics chains (DESIGN.md §12): bit-identical to the
-  // unfused dispatches; AthreadSim keeps the per-kernel labels its
-  // LDM-staging pipeline (and ci/check_ldm_staging.py) is built around.
-  const bool fuse =
-      cfg_.fuse_kernels && kxx::default_backend() != kxx::Backend::AthreadSim;
-
   {
     PhaseScope t("readyt", "phase");
-    if (fuse) {
-      compute_density_pressure_fused(*lgrid_, cfg_.linear_eos, state_->t_cur, state_->s_cur,
-                                     state_->rho, state_->eta_cur, state_->pressure);
-    } else {
-      compute_density(*lgrid_, cfg_.linear_eos, state_->t_cur, state_->s_cur, state_->rho);
-      compute_pressure(*lgrid_, state_->rho, state_->eta_cur, state_->pressure);
-    }
+    compute_density_pressure_fused(*lgrid_, cfg_.linear_eos, state_->t_cur, state_->s_cur,
+                                   state_->rho, state_->pressure);
   }
 
   // The diffusivity exchange overlaps the readyc tendency kernels: the
@@ -274,15 +263,8 @@ void LicomModel::step() {
 
   {
     PhaseScope t("readyc", "phase");
-    if (fuse) {
-      compute_tendency_means_fused(*lgrid_, cfg_, *state_, day, state_->fu_tend,
-                                   state_->fv_tend, gu_bar_, gv_bar_);
-    } else {
-      compute_momentum_tendencies(*lgrid_, cfg_, *state_, day, state_->fu_tend,
-                                  state_->fv_tend);
-      vertical_mean(*lgrid_, state_->fu_tend, gu_bar_);
-      vertical_mean(*lgrid_, state_->fv_tend, gv_bar_);
-    }
+    compute_tendency_means(*lgrid_, cfg_, *state_, day, state_->fu_tend, state_->fv_tend,
+                           gu_bar_, gv_bar_);
     kappa_group_->finish();
   }
 

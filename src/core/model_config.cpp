@@ -50,7 +50,6 @@ ModelConfig ModelConfig::testing(int factor) {
   ModelConfig c;
   c.grid = grid::shrink(grid::spec_coarse100km(), factor);
   c.grid.nz = 12;
-  c.fuse_kernels = env_flag_or("LICOMK_FUSE", c.fuse_kernels);
   c.weighted_decomposition =
       env_flag_or("LICOMK_WEIGHTED_DECOMP", c.weighted_decomposition);
   return c;
@@ -110,7 +109,6 @@ ModelConfig ModelConfig::from_config(const util::Config& cfg) {
   }
   c.eliminate_redundant_halo = cfg.get_bool_or("model.eliminate_redundant_halo", true);
   c.verify_halo_crc = cfg.get_bool_or("model.verify_halo_crc", false);
-  c.fuse_kernels = cfg.get_bool_or("model.fuse_kernels", true);
   c.weighted_decomposition = cfg.get_bool_or("model.weighted_decomposition", false);
   c.fp32_barotropic = cfg.get_bool_or("model.fp32_barotropic", false);
   c.wind_stress_scale = cfg.get_double_or("model.wind_stress_scale", 1.0);
@@ -128,7 +126,7 @@ std::string ModelConfig::describe() const {
      << (vmix == VMixScheme::Canuto ? "canuto" : "richardson")
      << (canuto_load_balance ? "+lb" : "") << " halo3d="
      << (halo_strategy == HaloStrategy::TransposeVerticalMajor ? "transpose" : "horizontal")
-     << (verify_halo_crc ? " halo-crc" : "") << (fuse_kernels ? "" : " no-fusion")
+     << (verify_halo_crc ? " halo-crc" : "")
      << (weighted_decomposition ? " weighted-decomp" : "")
      << (fp32_barotropic ? " fp32-barotr" : "");
   if (wind_stress_scale != 1.0) os << " wind-scale=" << wind_stress_scale;

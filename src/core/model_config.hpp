@@ -56,14 +56,6 @@ struct ModelConfig {
   /// the run supervisor can recover from, instead of silently polluting the
   /// state. Off by default: one extra word per message plus two CRC passes.
   bool verify_halo_crc = false;
-  /// Fuse adjacent dynamics/tracer kernels (density+pressure, tendency+
-  /// vertical means, the tracer hdiff and low-order advection pairs) so
-  /// intermediates stay in registers instead of round-tripping through Views.
-  /// Bit-identical to the unfused chain (same per-element expressions in the
-  /// same order — DESIGN.md §12); off = the scalar-unfused ablation baseline.
-  /// Ignored on the AthreadSim backend, whose LDM-staging pipeline keeps the
-  /// unfused per-kernel dispatches (ci/check_ldm_staging.py gates on them).
-  bool fuse_kernels = true;
   /// Ocean-aware weighted domain decomposition (the partitioning face of the
   /// paper's Fig. 4 sea-point load balancing): plan_decomposition splits each
   /// axis at weighted quantiles of the bathymetry's sea-point census instead

@@ -13,6 +13,25 @@
 namespace licomk::core {
 namespace trc {
 
+/// Flux-form Laplacian divergence of q at an active cell, the stencil HDiffK
+/// and LapFieldK share (`f` supplies kmt, the metrics, dz and seam_j). Face
+/// conductances are zero across land faces and the closed fold seam.
+template <typename K>
+double laplacian_div(const K& f, const CF3& q, long long k, long long j, long long i) {
+  auto cond_e = [&](long long jj, long long ii) {
+    if (k >= f.kmt(jj, ii) || k >= f.kmt(jj, ii + 1)) return 0.0;
+    return f.dyu(jj, ii) * f.dz[k] / f.dxt(jj, ii);
+  };
+  auto cond_n = [&](long long jj, long long ii) {
+    if (jj == f.seam_j || k >= f.kmt(jj, ii) || k >= f.kmt(jj + 1, ii)) return 0.0;
+    return f.dxu(jj, ii) * f.dz[k] / f.dyt(jj, ii);
+  };
+  return cond_e(j, i) * (q(k, j, i + 1) - q(k, j, i)) -
+         cond_e(j, i - 1) * (q(k, j, i) - q(k, j, i - 1)) +
+         cond_n(j, i) * (q(k, j + 1, i) - q(k, j, i)) -
+         cond_n(j - 1, i) * (q(k, j, i) - q(k, j - 1, i));
+}
+
 /// Flux-form Laplacian horizontal diffusion added onto the advected field.
 /// No-flux across land faces by construction (face conductance zero).
 struct HDiffK {
@@ -34,19 +53,7 @@ struct HDiffK {
 
   void operator()(long long k, long long j, long long i) const {
     if (k >= kmt(j, i)) return;
-    auto cond_e = [&](long long jj, long long ii) {
-      if (k >= kmt(jj, ii) || k >= kmt(jj, ii + 1)) return 0.0;
-      return dyu(jj, ii) * dz[k] / dxt(jj, ii);
-    };
-    auto cond_n = [&](long long jj, long long ii) {
-      if (jj == seam_j || k >= kmt(jj, ii) || k >= kmt(jj + 1, ii)) return 0.0;
-      return dxu(jj, ii) * dz[k] / dyt(jj, ii);
-    };
-    double div = cond_e(j, i) * (q(k, j, i + 1) - q(k, j, i)) -
-                 cond_e(j, i - 1) * (q(k, j, i) - q(k, j, i - 1)) +
-                 cond_n(j, i) * (q(k, j + 1, i) - q(k, j, i)) -
-                 cond_n(j - 1, i) * (q(k, j, i) - q(k, j - 1, i));
-    q_acc(k, j, i) += dt_ah * div / (area(j, i) * dz[k]);
+    q_acc(k, j, i) += dt_ah * laplacian_div(*this, q, k, j, i) / (area(j, i) * dz[k]);
   }
 };
 
@@ -54,7 +61,7 @@ struct HDiffK {
 /// conductances cond_e/cond_n depend only on geometry and k, so computing
 /// them once and applying them to t and s halves the metric/mask traffic the
 /// unfused per-tracer dispatches pay twice. Each tracer's increment is
-/// textually HDiffK's expression — bit-identical to two HDiffK passes.
+/// HDiffK's expression (laplacian_div) — bit-identical to two HDiffK passes.
 struct FusedHDiffPairK {
   CI2 kmt;
   CF2 dxt, dyt, dxu, dyu, area;
@@ -72,46 +79,27 @@ struct FusedHDiffPairK {
   }
 
   void operator()(long long k, long long j, long long i) const {
-    if (k >= kmt(j, i)) return;
-    auto cond_e = [&](long long jj, long long ii) {
-      if (k >= kmt(jj, ii) || k >= kmt(jj, ii + 1)) return 0.0;
-      return dyu(jj, ii) * dz[k] / dxt(jj, ii);
-    };
-    auto cond_n = [&](long long jj, long long ii) {
-      if (jj == seam_j || k >= kmt(jj, ii) || k >= kmt(jj + 1, ii)) return 0.0;
-      return dxu(jj, ii) * dz[k] / dyt(jj, ii);
-    };
-    double ce = cond_e(j, i);
-    double cw = cond_e(j, i - 1);
-    double cn = cond_n(j, i);
-    double cs = cond_n(j - 1, i);
-    double div_a = ce * (qa(k, j, i + 1) - qa(k, j, i)) -
-                   cw * (qa(k, j, i) - qa(k, j, i - 1)) +
-                   cn * (qa(k, j + 1, i) - qa(k, j, i)) -
-                   cs * (qa(k, j, i) - qa(k, j - 1, i));
-    qa_acc(k, j, i) += dt_ah * div_a / (area(j, i) * dz[k]);
-    double div_b = ce * (qb(k, j, i + 1) - qb(k, j, i)) -
-                   cw * (qb(k, j, i) - qb(k, j, i - 1)) +
-                   cn * (qb(k, j + 1, i) - qb(k, j, i)) -
-                   cs * (qb(k, j, i) - qb(k, j - 1, i));
-    qb_acc(k, j, i) += dt_ah * div_b / (area(j, i) * dz[k]);
+    pack_op<1>(k, j, i, kxx::Mask<1>::all_true());
   }
 
-  /// Packed form, dispatched on the plain i-tail mask (no LevelsRef). With a
-  /// full tail every lane address — including the ±1 stencil neighbors — is
-  /// inside the dense allocation, so all loads are unmasked; the scalar body
-  /// also reads every neighbor and multiplies by a zero conductance at
-  /// land/below-bottom faces, so dead lanes compute the same discarded
-  /// products. Partial-column masking reduces to blended conductances plus
-  /// an `act`-masked read-modify-write store; partial tails (at most one
-  /// pack per row) fall back to the scalar body per live lane.
+  /// Packed form, dispatched on the plain i-tail mask (no LevelsRef), and
+  /// through pack_op<1> the scalar body (pack width 1). With a full tail
+  /// every lane address — including the ±1 stencil neighbors — is inside the
+  /// dense allocation, so all loads are unmasked; HDiffK also reads every
+  /// neighbor and multiplies by a zero conductance at land/below-bottom
+  /// faces, so dead lanes compute the same discarded products. Partial-column
+  /// masking reduces to blended conductances plus an `act`-masked
+  /// read-modify-write store; partial tails (at most one pack per row) fall
+  /// back to pack_op<1> per live lane.
   template <int N>
   void pack_op(long long k, long long j, long long i0, const kxx::Mask<N>& tail) const {
     using P = kxx::Pack<double, N>;
-    if (!tail.all()) {
-      for (int l = 0; l < N; ++l)
-        if (tail[l]) (*this)(k, j, i0 + l);
-      return;
+    if constexpr (N > 1) {
+      if (!tail.all()) {
+        for (int l = 0; l < N; ++l)
+          if (tail[l]) pack_op<1>(k, j, i0 + l, kxx::Mask<1>::all_true());
+        return;
+      }
     }
     kxx::Mask<N> act, me, mw, mn, ms;
     for (int l = 0; l < N; ++l) {
@@ -177,19 +165,7 @@ struct LapFieldK {
       lap(k, j, i) = 0.0;
       return;
     }
-    auto cond_e = [&](long long jj, long long ii) {
-      if (k >= kmt(jj, ii) || k >= kmt(jj, ii + 1)) return 0.0;
-      return dyu(jj, ii) * dz[k] / dxt(jj, ii);
-    };
-    auto cond_n = [&](long long jj, long long ii) {
-      if (jj == seam_j || k >= kmt(jj, ii) || k >= kmt(jj + 1, ii)) return 0.0;
-      return dxu(jj, ii) * dz[k] / dyt(jj, ii);
-    };
-    double div = cond_e(j, i) * (q(k, j, i + 1) - q(k, j, i)) -
-                 cond_e(j, i - 1) * (q(k, j, i) - q(k, j, i - 1)) +
-                 cond_n(j, i) * (q(k, j + 1, i) - q(k, j, i)) -
-                 cond_n(j - 1, i) * (q(k, j, i) - q(k, j - 1, i));
-    lap(k, j, i) = div / (area(j, i) * dz[k]);
+    lap(k, j, i) = laplacian_div(*this, q, k, j, i) / (area(j, i) * dz[k]);
   }
 };
 
@@ -335,76 +311,67 @@ void tracer_columns(const LocalGrid& g, const ModelConfig& cfg, OceanState& stat
   state.s_new.mark_dirty();
 }
 
-void tracer_step(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
-                 AdvectionWorkspace& ws, TracerAdvScratch& scratch,
-                 halo::PersistentGroup& qtd_group, const std::vector<double>& sw_frac,
-                 double day_of_year) {
+void tracer_hdiff(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
+                  AdvectionWorkspace& ws) {
   const int h = decomp::kHaloWidth;
   const double dt = cfg.grid.dt_tracer;
   // Global representative spacing (decomposition-independent physics).
   const auto& gh = g.global().h();
   const double dx_mean = gh.dx_t(gh.ny() / 2, gh.nx() / 2);
-  const double ah = cfg.effective_diffusivity(dx_mean);
-
-  const bool fuse_adv =
-      cfg.fuse_kernels && kxx::default_backend() != kxx::Backend::AthreadSim;
-  compute_volume_fluxes(g, state.u_cur, state.v_cur, ws, cfg.gm_kappa, &state.rho);
-  advect_tracer_pair(g, dt, state.t_cur, state.s_cur, ws, scratch, qtd_group, state.t_new,
-                     state.s_new, fuse_adv);
-
+  const long long seam = g.seam_row() >= 0 ? g.seam_row() : -2;
   // Single-plane tiles for the staged trc_hdiff dispatches (see dynamics.cpp).
   kxx::MDRangePolicy3 interior3({0, h, h}, {g.nz(), h + g.ny(), h + g.nx()}, {1, 4, 64});
 
-  const long long seam = g.seam_row() >= 0 ? g.seam_row() : -2;
-  const double a4 = cfg.effective_biharmonic(dx_mean);
-
   // Fused t+s Laplacian diffusion: one sweep computes the face conductances
   // once for both tracers (bit-identical to the per-tracer HDiffK passes).
-  // AthreadSim keeps the unfused dispatches — its LDM-staging pipeline is
-  // built around the registered per-kernel labels. The biharmonic path also
-  // stays unfused: both tracers round-trip through the shared ws.hmix_lap
+  // Where kernels stage through LDM, the per-tracer HDiffK dispatches run
+  // instead: HDiffK carries the staging footprint. The biharmonic path also
+  // stays per-tracer: both tracers round-trip through the shared ws.hmix_lap
   // scratch field, so their Laplacian passes cannot overlap.
-  const bool fuse = cfg.fuse_kernels && cfg.hmix == HMixScheme::Laplacian &&
-                    kxx::default_backend() != kxx::Backend::AthreadSim;
-  if (fuse) {
+  if (cfg.hmix == HMixScheme::Laplacian && !kxx::stages_through_ldm()) {
     trc::FusedHDiffPairK hp{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
                             cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
                             cref(state.t_cur),  cref(state.s_cur),
                             mref(state.t_new),  mref(state.s_new),
-                            g.vertical().thicknesses().data(), dt * ah, seam};
+                            g.vertical().thicknesses().data(),
+                            dt * cfg.effective_diffusivity(dx_mean), seam};
     kxx::parallel_for_packed("trc_hdiff_pair", interior3, hp);
     // Elided: the second pass's re-reads of the 2-D metrics/mask (5 doubles +
     // 3 kmt probes per face pair, counted as the five metric planes).
     kxx::note_fusion_views_elided(5LL * g.ny() * g.nx() *
                                   static_cast<long long>(sizeof(double)));
-  } else {
-    for (int which = 0; which < 2; ++which) {
-      const halo::BlockField3D& q_cur = which == 0 ? state.t_cur : state.s_cur;
-      halo::BlockField3D& q_new = which == 0 ? state.t_new : state.s_new;
-      if (cfg.hmix == HMixScheme::Laplacian) {
-        trc::HDiffK hd{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
-                       cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
-                       cref(q_cur),        mref(q_new),        g.vertical().thicknesses().data(),
-                       dt * ah,            seam};
-        kxx::parallel_for("trc_hdiff", interior3, hd);
-      } else {
-        // Biharmonic: lap(q) over interior + 1 ring, then -A4 * lap(lap(q)).
-        kxx::MDRangePolicy3 ring1({0, 1, 1},
-                                  {g.nz(), g.ny_total() - 1, g.nx_total() - 1});
-        trc::LapFieldK lf{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
-                          cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
-                          cref(q_cur),        mref(ws.hmix_lap),
-                          g.vertical().thicknesses().data(), seam};
-        kxx::parallel_for("trc_lap_field", ring1, lf);
-        trc::HDiffK bh{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
-                       cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
-                       cref(ws.hmix_lap),  mref(q_new),        g.vertical().thicknesses().data(),
-                       -dt * a4,           seam};
-        kxx::parallel_for("trc_hdiff", interior3, bh);
-      }
-    }
+    return;
   }
+  for (int which = 0; which < 2; ++which) {
+    const halo::BlockField3D* q = which == 0 ? &state.t_cur : &state.s_cur;
+    double coeff = dt * cfg.effective_diffusivity(dx_mean);
+    if (cfg.hmix == HMixScheme::Biharmonic) {
+      // lap(q) over interior + 1 ring, then -A4 * lap(lap(q)).
+      kxx::MDRangePolicy3 ring1({0, 1, 1}, {g.nz(), g.ny_total() - 1, g.nx_total() - 1});
+      trc::LapFieldK lf{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
+                        cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
+                        cref(*q),           mref(ws.hmix_lap),
+                        g.vertical().thicknesses().data(), seam};
+      kxx::parallel_for("trc_lap_field", ring1, lf);
+      q = &ws.hmix_lap;
+      coeff = -dt * cfg.effective_biharmonic(dx_mean);
+    }
+    trc::HDiffK hd{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
+                   cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
+                   cref(*q),           mref(which == 0 ? state.t_new : state.s_new),
+                   g.vertical().thicknesses().data(), coeff, seam};
+    kxx::parallel_for("trc_hdiff", interior3, hd);
+  }
+}
 
+void tracer_step(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
+                 AdvectionWorkspace& ws, TracerAdvScratch& scratch,
+                 halo::PersistentGroup& qtd_group, const std::vector<double>& sw_frac,
+                 double day_of_year) {
+  compute_volume_fluxes(g, state.u_cur, state.v_cur, ws, cfg.gm_kappa, &state.rho);
+  advect_tracer_pair(g, cfg.grid.dt_tracer, state.t_cur, state.s_cur, ws, scratch, qtd_group,
+                     state.t_new, state.s_new);
+  tracer_hdiff(g, cfg, state, ws);
   // Both tracers' columns in one packed sweep: the horizontal diffusion
   // passes above touch only their own tracer, so running both before the
   // columns (instead of interleaving per tracer) changes no bits.

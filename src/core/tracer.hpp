@@ -29,6 +29,14 @@ void tracer_step(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
                  halo::PersistentGroup& qtd_group, const std::vector<double>& sw_frac,
                  double day_of_year);
 
+/// The tracer step's horizontal diffusion: increments t_new and s_new on the
+/// interior by the flux-form diffusion (cfg.hmix) of t_cur and s_cur. The
+/// Laplacian runs as one fused, packed t+s dispatch ("trc_hdiff_pair"), or
+/// as the LDM-staged per-tracer "trc_hdiff" where kxx::stages_through_ldm();
+/// the biharmonic runs per tracer through ws.hmix_lap. Same bits every way.
+void tracer_hdiff(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
+                  AdvectionWorkspace& ws);
+
 /// The tracer step's column finisher on the interior: penetrating shortwave
 /// (temperature, when cfg.solar_penetration), surface restoring toward the
 /// climatology relative to t_cur/s_cur, and implicit vertical diffusion of

@@ -18,6 +18,7 @@
 #include "core/state.hpp"
 #include "core/tracer.hpp"
 #include "kxx/kxx.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace lc = licomk::core;
 namespace lco = licomk::comm;
@@ -489,8 +490,10 @@ TEST(Baseline, LegacyRoutineBitIdenticalToKxxPipeline) {
 
 // The fused low-order predictor must reproduce the unfused path bit-for-bit
 // at every pack width: the pack lanes evaluate the same expressions in the
-// same order as the scalar kernel, and masked stores leave land/halo bytes
-// untouched.
+// same order as the per-tracer LowOrder kernel, and masked stores leave
+// land/halo bytes untouched. The pair (one fused q_td group exchange) is
+// also two sequential single-tracer advections (per-field q_td exchanges,
+// per-tracer LowOrder predictors), bit for bit.
 TEST(Advection, FusedLowOrderPairBitIdenticalToUnfused) {
   kxx::initialize({kxx::Backend::Serial, 1, false});
   Fixture fx;
@@ -514,25 +517,16 @@ TEST(Advection, FusedLowOrderPairBitIdenticalToUnfused) {
 
     lh::BlockField3D t_ref("t_ref", g.extent(), g.nz());
     lh::BlockField3D s_ref("s_ref", g.extent(), g.nz());
-    lc::advect_tracer_pair(g, 1440.0, s.t_cur, s.s_cur, ws, scratch, qtd_group, t_ref, s_ref,
-                           /*fuse_low_order=*/false);
-
-    // The pair (one fused q_td group exchange) is two sequential
-    // single-tracer advections (per-field q_td exchanges), bit for bit.
+    lc::advect_tracer_fct(g, 1440.0, s.t_cur, ws, ex, t_ref);
+    lc::advect_tracer_fct(g, 1440.0, s.s_cur, ws, ex, s_ref);
     const size_t bytes = t_ref.view().size() * sizeof(double);
-    lh::BlockField3D t_fct("t_fct", g.extent(), g.nz());
-    lh::BlockField3D s_fct("s_fct", g.extent(), g.nz());
-    lc::advect_tracer_fct(g, 1440.0, s.t_cur, ws, ex, t_fct);
-    lc::advect_tracer_fct(g, 1440.0, s.s_cur, ws, ex, s_fct);
-    EXPECT_EQ(0, std::memcmp(t_fct.view().data(), t_ref.view().data(), bytes));
-    EXPECT_EQ(0, std::memcmp(s_fct.view().data(), s_ref.view().data(), bytes));
 
     for (int pack : {1, 4, 8}) {
       kxx::set_pack_size(pack);
       lh::BlockField3D t_fused("t_fused", g.extent(), g.nz());
       lh::BlockField3D s_fused("s_fused", g.extent(), g.nz());
       lc::advect_tracer_pair(g, 1440.0, s.t_cur, s.s_cur, ws, scratch, qtd_group, t_fused,
-                             s_fused, /*fuse_low_order=*/true);
+                             s_fused);
       EXPECT_EQ(0, std::memcmp(t_fused.view().data(), t_ref.view().data(), bytes))
           << "pack=" << pack;
       EXPECT_EQ(0, std::memcmp(s_fused.view().data(), s_ref.view().data(), bytes))
@@ -719,4 +713,75 @@ TEST(TracerColumn, FusedPairMatchesPerTracerPasses) {
     }
     kxx::set_pack_size(LICOMK_PACK_SIZE);
   });
+}
+
+// The tracer step's Laplacian diffusion as Serial runs it — one fused t+s
+// trc_hdiff_pair dispatch at pack widths 1, 4 and 8 — against the strict
+// AthreadSim run, whose per-tracer trc_hdiff dispatches stage through LDM,
+// byte for byte in t_new and s_new. Covered: the whole 1-rank block and both
+// blocks of a 2-rank split, ragged kmt, partial i-tails at every pack width,
+// and the closed fold seam row (every block spans the north edge).
+TEST(TracerHDiff, FusedPairMatchesStagedPerTracer) {
+  namespace tel = licomk::telemetry;
+  const lc::ModelConfig cfg = lc::ModelConfig::testing(8);
+  ASSERT_EQ(cfg.hmix, lc::HMixScheme::Laplacian);
+  for (int px : {1, 2}) {
+    Fixture fx(8, 8, px, 1);
+    for (int rank = 0; rank < px; ++rank) {
+      lc::LocalGrid g(*fx.global, *fx.dec, rank);
+      ASSERT_GE(g.seam_row(), 0) << "px=" << px << " rank=" << rank;
+      ASSERT_NE(g.nx() % 4, 0) << "px=" << px << " rank=" << rank;
+      int kmin = g.nz(), kmax = 0;
+      for (int j = kH; j < kH + g.ny(); ++j)
+        for (int i = kH; i < kH + g.nx(); ++i)
+          if (g.kmt(j, i) > 0) {
+            kmin = std::min(kmin, g.kmt(j, i));
+            kmax = std::max(kmax, g.kmt(j, i));
+          }
+      ASSERT_LT(kmin, kmax) << "flat bottom: kmt is not ragged";
+
+      lc::OceanState s(g);
+      set_tracer(g, s.t_cur, 11);
+      set_tracer(g, s.s_cur, 12);
+      set_tracer(g, s.t_new, 13);
+      set_tracer(g, s.s_new, 14);
+      const size_t bytes = s.t_new.view().size() * sizeof(double);
+      auto run = [&](lh::BlockField3D& t_out, lh::BlockField3D& s_out) {
+        lc::OceanState st(g);
+        lc::AdvectionWorkspace ws(g);
+        std::memcpy(st.t_cur.view().data(), s.t_cur.view().data(), bytes);
+        std::memcpy(st.s_cur.view().data(), s.s_cur.view().data(), bytes);
+        std::memcpy(st.t_new.view().data(), s.t_new.view().data(), bytes);
+        std::memcpy(st.s_new.view().data(), s.s_new.view().data(), bytes);
+        lc::tracer_hdiff(g, cfg, st, ws);
+        std::memcpy(t_out.view().data(), st.t_new.view().data(), bytes);
+        std::memcpy(s_out.view().data(), st.s_new.view().data(), bytes);
+      };
+
+      lh::BlockField3D t_ref("t_ref", g.extent(), g.nz());
+      lh::BlockField3D s_ref("s_ref", g.extent(), g.nz());
+      kxx::initialize({kxx::Backend::AthreadSim, 1, /*athread_strict=*/true});
+      tel::set_enabled(true);
+      tel::reset();
+      run(t_ref, s_ref);
+      // The staged per-tracer form ran, not the fused pair.
+      EXPECT_GT(tel::span_counter_value("trc_hdiff", "dma.transfers"), 0u);
+      EXPECT_EQ(tel::span_counter_value("trc_hdiff_pair", "dma.transfers"), 0u);
+      tel::reset();
+      tel::set_enabled(false);
+
+      kxx::initialize({kxx::Backend::Serial, 1, false});
+      for (int pack : {1, 4, 8}) {
+        kxx::set_pack_size(pack);
+        lh::BlockField3D t_out("t_out", g.extent(), g.nz());
+        lh::BlockField3D s_out("s_out", g.extent(), g.nz());
+        run(t_out, s_out);
+        EXPECT_EQ(0, std::memcmp(t_out.view().data(), t_ref.view().data(), bytes))
+            << "t px=" << px << " rank=" << rank << " pack=" << pack;
+        EXPECT_EQ(0, std::memcmp(s_out.view().data(), s_ref.view().data(), bytes))
+            << "s px=" << px << " rank=" << rank << " pack=" << pack;
+      }
+      kxx::set_pack_size(LICOMK_PACK_SIZE);
+    }
+  }
 }

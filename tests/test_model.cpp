@@ -154,49 +154,43 @@ StateSig state_signature(const lc::LicomModel& m) {
 
 }  // namespace
 
-// The ISSUE acceptance gate: the final prognostic state is CRC-64 identical
-// per field across LICOMK_PACK_SIZE ∈ {1, 4, 8} and fused vs unfused kernel
-// chains — packing and fusion change performance, never a single bit.
-TEST(Model, PackFusionCrcMatrixSingleRank) {
-  auto run = [](kxx::Backend backend, int nthreads, int pack, bool fuse) {
+// The final prognostic state is CRC-64 identical per field across
+// LICOMK_PACK_SIZE ∈ {1, 4, 8}, with Serial pack 1 (every packed kernel on
+// its pack_op<1> body) as the reference — packing changes performance, never
+// a single bit. Fused vs per-kernel chains are covered by
+// StrictAthreadSimStepMatchesSerial (readyc, hdiff) and the per-kernel
+// memcmp tests.
+TEST(Model, PackCrcMatrixSingleRank) {
+  auto run = [](kxx::Backend backend, int nthreads, int pack) {
     kxx::InitConfig kc{backend, nthreads, false};
     kc.pack_size = pack;
     kxx::initialize(kc);
-    auto cfg = small_config();
-    cfg.fuse_kernels = fuse;
-    lc::LicomModel m(cfg);
+    lc::LicomModel m(small_config());
     m.run_days(0.5);
     return state_signature(m);
   };
-  StateSig ref = run(kxx::Backend::Serial, 1, 1, false);  // scalar-unfused
-  for (int pack : {1, 4, 8}) {
-    for (bool fuse : {false, true}) {
-      StateSig sig = run(kxx::Backend::Serial, 1, pack, fuse);
-      EXPECT_TRUE(sig == ref) << "serial pack=" << pack << " fuse=" << fuse;
-    }
+  StateSig ref = run(kxx::Backend::Serial, 1, 1);
+  for (int pack : {4, 8}) {
+    StateSig sig = run(kxx::Backend::Serial, 1, pack);
+    EXPECT_TRUE(sig == ref) << "serial pack=" << pack;
   }
-  // Threads backend, fully packed + fused (the perf_smoke gate configuration).
-  StateSig thr = run(kxx::Backend::Threads, 4, 8, true);
-  EXPECT_TRUE(thr == ref) << "threads pack=8 fused";
+  // Threads backend, fully packed (the perf_smoke gate configuration).
+  StateSig thr = run(kxx::Backend::Threads, 4, 8);
+  EXPECT_TRUE(thr == ref) << "threads pack=8";
   kxx::initialize(kxx::config_from_env({kxx::Backend::Serial, 1, false}));
 }
 
-TEST(Model, PackFusionCrcMatrixMultiRank) {
-  auto cfg_of = [](bool fuse) {
-    auto cfg = small_config();
-    cfg.fuse_kernels = fuse;
-    return cfg;
-  };
+TEST(Model, PackCrcMatrixMultiRank) {
   auto global = std::make_shared<licomk::grid::GlobalGrid>(small_config().grid,
                                                            small_config().bathymetry_seed);
   const int nranks = 4;
-  auto run = [&](int pack, bool fuse) {
+  auto run = [&](int pack) {
     kxx::InitConfig kc{kxx::Backend::Serial, 1, false};
     kc.pack_size = pack;
     kxx::initialize(kc);
     std::vector<StateSig> sigs(nranks);
     lco::Runtime::run(nranks, [&](lco::Communicator& c) {
-      lc::LicomModel m(cfg_of(fuse), global, c);
+      lc::LicomModel m(small_config(), global, c);
       m.run_days(0.5);
       sigs[static_cast<std::size_t>(c.rank())] = state_signature(m);
     });
@@ -204,21 +198,24 @@ TEST(Model, PackFusionCrcMatrixMultiRank) {
   };
   // Per-rank equality of every block (halos included) implies global-field
   // equality under any decomposition.
-  auto ref = run(1, false);
-  for (auto [pack, fuse] : {std::pair<int, bool>{4, true}, {8, true}, {8, false}}) {
-    auto sigs = run(pack, fuse);
+  auto ref = run(1);
+  for (int pack : {4, 8}) {
+    auto sigs = run(pack);
     for (int r = 0; r < nranks; ++r) {
       EXPECT_TRUE(sigs[static_cast<std::size_t>(r)] == ref[static_cast<std::size_t>(r)])
-          << "rank " << r << " pack=" << pack << " fuse=" << fuse;
+          << "rank " << r << " pack=" << pack;
     }
   }
   kxx::initialize(kxx::config_from_env({kxx::Backend::Serial, 1, false}));
 }
 
 // Strict AthreadSim (no MPE fallback) runs whole steps: every kernel a step
-// dispatches — the packed limiter and column functors included, which lower
-// to their scalar pack_op<1> bodies there — is registered, and the state
-// matches the packed Serial run bit for bit.
+// dispatches — the fused readyt and low-order pair, the packed limiter and
+// the column functors included, which lower to their scalar pack_op<1>
+// bodies there — is registered, and the state matches the packed Serial run
+// bit for bit. This is also the model-level fused-vs-per-kernel check: on
+// AthreadSim readyc and the tracer hdiff run their LDM-staged per-kernel
+// forms, on Serial the fused chains.
 TEST(Model, StrictAthreadSimStepMatchesSerial) {
   kxx::initialize({kxx::Backend::Serial, 1, false});
   lc::LicomModel serial(small_config());
