@@ -141,9 +141,9 @@ LicomModel::LicomModel(const ModelConfig& cfg, std::shared_ptr<const grid::Globa
   LICOMK_REQUIRE(global_ != nullptr, "null global grid");
   decomp_ = std::make_unique<decomp::Decomposition>(plan_decomposition(cfg_, comm_.size()));
   lgrid_ = std::make_unique<LocalGrid>(*global_, *decomp_, comm_.rank());
-  exchanger_ = std::make_unique<halo::HaloExchanger>(*decomp_, comm_, comm_.rank());
+  exchanger_ = std::make_unique<halo::HaloExchanger>(*decomp_, comm_, comm_.rank(),
+                                                     cfg_.verify_halo_crc);
   exchanger_->set_eliminate_redundant(cfg_.eliminate_redundant_halo);
-  exchanger_->set_verify_crc(cfg_.verify_halo_crc);
   exchanger_->set_tag_base(cfg_.halo_tag_base);
   state_ = std::make_unique<OceanState>(*lgrid_);
   if (cfg_.initial_t_perturb_c != 0.0) {

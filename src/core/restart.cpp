@@ -53,13 +53,24 @@ std::vector<FieldSpan> state_spans(const OceanState& state) {
 }
 
 /// Expected storage element counts for a (nx, ny, nz) block, halo included.
-std::size_t storage3(const Header& h) {
-  const int hw = decomp::kHaloWidth;
-  return static_cast<std::size_t>(h.nz) * (h.ny + 2 * hw) * (h.nx + 2 * hw);
-}
+/// Only called on a header whose shape payload_fits() accepted (or one the
+/// program built itself), so the products cannot overflow.
 std::size_t storage2(const Header& h) {
-  const int hw = decomp::kHaloWidth;
-  return static_cast<std::size_t>(h.ny + 2 * hw) * (h.nx + 2 * hw);
+  const std::size_t hw2 = 2 * decomp::kHaloWidth;
+  return (static_cast<std::size_t>(h.ny) + hw2) * (static_cast<std::size_t>(h.nx) + hw2);
+}
+std::size_t storage3(const Header& h) { return static_cast<std::size_t>(h.nz) * storage2(h); }
+
+/// True when every field the header's shape implies fits in `bytes`, the
+/// bytes left in the file: kNumFields3 * nz + kNumFields2 planes of
+/// (ny + 2h) * (nx + 2h) doubles. Checked by division so that no product of
+/// untrusted dimensions is ever formed. Dimensions must already be positive.
+bool payload_fits(const Header& h, std::uint64_t bytes) {
+  const std::uint64_t hw2 = 2 * decomp::kHaloWidth;
+  const std::uint64_t plane = (static_cast<std::uint64_t>(h.ny) + hw2) *
+                              (static_cast<std::uint64_t>(h.nx) + hw2);  // < 2^64: each < 2^32
+  const std::uint64_t planes = static_cast<std::uint64_t>(kNumFields3) * h.nz + kNumFields2;
+  return plane <= bytes / sizeof(double) / planes;
 }
 
 void write_restart_impl(const std::string& path, Header h, const std::vector<FieldSpan>& fields,
@@ -143,11 +154,34 @@ bool read_prelude(std::ifstream& in, const std::string& path, Header& h,
     if (why != nullptr) *why = "unexpected field count in " + path;
     return false;
   }
+  if (h.nx <= 0 || h.ny <= 0 || h.nz <= 0) {
+    if (why != nullptr) {
+      *why = "corrupt restart header in " + path + ": non-positive shape " +
+             std::to_string(h.nx) + "x" + std::to_string(h.ny) + "x" + std::to_string(h.nz);
+    }
+    return false;
+  }
   table.assign(static_cast<std::size_t>(h.field_count), 0);
   in.read(reinterpret_cast<char*>(table.data()),
           static_cast<std::streamsize>(table.size() * sizeof(std::uint64_t)));
   if (!in) {
     if (why != nullptr) *why = "truncated restart file: " + path;
+    return false;
+  }
+  // Nothing is sized from the header before this check. A payload that
+  // overruns the file is a torn write or a corrupt shape; either way the
+  // checkpoint fails its integrity check, as a CRC mismatch would.
+  const std::streampos body = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff remaining = in.tellg() - body;
+  in.seekg(body);
+  if (!in || !payload_fits(h, static_cast<std::uint64_t>(remaining))) {
+    note_crc_failure();
+    if (why != nullptr) {
+      *why = "truncated restart file or corrupt header in " + path + ": shape " +
+             std::to_string(h.nx) + "x" + std::to_string(h.ny) + "x" + std::to_string(h.nz) +
+             " needs more than the " + std::to_string(remaining) + " payload bytes present";
+    }
     return false;
   }
   return true;

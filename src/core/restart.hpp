@@ -75,7 +75,9 @@ RestartInfo read_restart(const std::string& path, const LocalGrid& grid, OceanSt
 /// Cheap integrity check: validate magic/version and recompute the payload
 /// CRC without touching any model state. Returns the stored time info when
 /// the file verifies, std::nullopt when it is missing, foreign, truncated,
-/// or corrupt (CRC mismatch bumps the "resilience.crc_failures" counter).
+/// or corrupt, including a header shape that is non-positive or implies more
+/// payload than the file holds (a CRC mismatch or a payload overrunning the
+/// file bumps the "resilience.crc_failures" counter).
 std::optional<RestartInfo> verify_restart(const std::string& path);
 
 /// verify_restart plus the header: shape, extent, and the field CRC table.
@@ -85,7 +87,9 @@ std::optional<RestartInfo> verify_restart(const std::string& path);
 std::optional<RestartFileInfo> inspect_restart(const std::string& path);
 
 /// Read the full raw payload (all field storages) of a verified checkpoint.
-/// Throws licomk::Error when the file is missing, foreign, or corrupt.
+/// Throws licomk::Error when the file is missing, foreign, or corrupt; the
+/// header shape is validated against the file size before any field buffer
+/// is allocated.
 RawRestart read_restart_raw(const std::string& path);
 
 /// Write a checkpoint from raw field storages (the redistributor's output

@@ -21,36 +21,72 @@ using detail::note_counter;
 using detail::note_message;
 
 HaloExchanger::HaloExchanger(const decomp::Decomposition& decomp, comm::Communicator comm,
-                             int rank)
-    : decomp_(decomp), comm_(comm), rank_(rank), extent_(decomp.block(rank)),
-      neigh_(decomp.neighbors(rank)) {
+                             int rank, bool verify_crc)
+    : comm_(comm), rank_(rank), extent_(decomp.block(rank)), verify_crc_(verify_crc) {
   LICOMK_REQUIRE(extent_.nx() >= decomp::kHaloWidth && extent_.ny() >= decomp::kHaloWidth,
                  "block smaller than the halo width");
-  top_row_fold_ = decomp.tripolar() && extent_.j1 == decomp.ny();
-  if (top_row_fold_) {
-    // Partners owning my mirrored column interval on the top block row.
-    int nxg = decomp.nx();
-    int lo = nxg - extent_.i1;
-    int hi = nxg - extent_.i0;
-    int py = decomp.py();
-    for (int bx = 0; bx < decomp.px(); ++bx) {
-      int r = decomp.rank_of(bx, py - 1);
-      decomp::BlockExtent e = decomp.block(r);
-      int a = std::max(lo, e.i0);
-      int b = std::min(hi, e.i1);
-      if (a < b) fold_partners_.push_back(FoldPartner{r, a, b});
-    }
+  build_box_table(decomp);
+}
+
+/// Sends are listed in the canonical sender order (phase 0: to south, to
+/// north, then one fold box per partner by ascending block column; phase 1:
+/// to west, to east). A receive is the mirror of some peer's send — my north
+/// neighbor's "to south" box fills my north ghost rows, and so on — and the
+/// receives are listed in that same canonical order, so the boxes from any
+/// one peer come in that peer's send order.
+void HaloExchanger::build_box_table(const decomp::Decomposition& decomp) {
+  const int h = decomp::kHaloWidth;
+  const int nx = extent_.nx();
+  const int ny = extent_.ny();
+  const int nxt = nx + 2 * h;
+  const int nyt = ny + 2 * h;
+  const decomp::Neighbors n = decomp.neighbors(rank_);
+  const bool north = n.north >= 0 && !n.north_is_fold;
+
+  PhaseBoxes& mer = table_[0];
+  if (n.south >= 0) mer.sends.push_back({n.south, detail::kTagToSouth, {h, h, h, nx}, false});
+  if (north) mer.sends.push_back({n.north, detail::kTagToNorth, {ny, h, h, nx}, false});
+  if (north) mer.recvs.push_back({n.north, detail::kTagToSouth, {h + ny, h, h, nx}, false});
+  if (n.south >= 0) {
+    mer.recvs.push_back({n.south, detail::kTagToNorth, {0, h, h, nx}, false});
+  } else {
+    mer.zeros.push_back({0, h, 0, nxt});
   }
+  if (n.north_is_fold) {
+    // Fold partners: the top-row blocks owning the mirrors (global column m
+    // pairs with nxg-1-m) of my columns [lo, hi). I send those columns' top
+    // rows; the partner's mirrored copy fills my ghost rows above them.
+    const int nxg = decomp.nx();
+    for (int bx = 0; bx < decomp.px(); ++bx) {
+      const int r = decomp.rank_of(bx, decomp.py() - 1);
+      const decomp::BlockExtent e = decomp.block(r);
+      const int lo = std::max(nxg - e.i1, extent_.i0);
+      const int hi = std::min(nxg - e.i0, extent_.i1);
+      if (lo >= hi) continue;
+      const int i0 = h + (lo - extent_.i0);
+      mer.sends.push_back({r, detail::kTagFold, {ny, h, i0, hi - lo}, true});
+      mer.recvs.push_back({r, detail::kTagFold, {h + ny, h, i0, hi - lo}, true});
+    }
+  } else if (!north) {
+    mer.zeros.push_back({h + ny, h, 0, nxt});
+  }
+
+  PhaseBoxes& zon = table_[1];
+  if (n.west >= 0) zon.sends.push_back({n.west, detail::kTagToWest, {0, nyt, h, h}, false});
+  if (n.east >= 0) zon.sends.push_back({n.east, detail::kTagToEast, {0, nyt, nx, h}, false});
+  if (n.east >= 0) zon.recvs.push_back({n.east, detail::kTagToWest, {0, nyt, h + nx, h}, false});
+  if (n.west >= 0) zon.recvs.push_back({n.west, detail::kTagToEast, {0, nyt, 0, h}, false});
+  if (n.west < 0) zon.zeros.push_back({0, nyt, 0, h});
+  if (n.east < 0) zon.zeros.push_back({0, nyt, h + nx, h});
 }
 
 int HaloExchanger::full_message_count() const {
-  int n = 0;
-  if (neigh_.south >= 0) ++n;
-  if (neigh_.north >= 0 && !neigh_.north_is_fold) ++n;
-  n += static_cast<int>(fold_partners_.size());
-  if (neigh_.west >= 0) ++n;
-  if (neigh_.east >= 0) ++n;
-  return n;
+  return static_cast<int>(table_[0].sends.size() + table_[1].sends.size());
+}
+
+void HaloExchanger::require_block(const decomp::BlockExtent& e) const {
+  LICOMK_REQUIRE(e.cells() == extent_.cells() && e.i0 == extent_.i0 && e.j0 == extent_.j0,
+                 "field extent does not match this exchanger's block");
 }
 
 void HaloExchanger::set_tag_base(int base) {
@@ -102,31 +138,27 @@ bool HaloExchanger::should_skip(const void* key, std::uint64_t alloc_id,
 }
 
 void HaloExchanger::update(BlockField2D& field, FoldSign sign) {
-  LICOMK_REQUIRE(field.extent().cells() == extent_.cells() && field.extent().i0 == extent_.i0 &&
-                     field.extent().j0 == extent_.j0,
-                 "field extent does not match this exchanger's block");
+  require_block(field.extent());
   if (should_skip(field.view().data(), field.alloc_id(), field.version())) return;
   do_update(field.view().data(), 1, sign, Halo3DMethod::HorizontalMajor);
 }
 
 void HaloExchanger::update(BlockField3D& field, FoldSign sign, Halo3DMethod method) {
-  LICOMK_REQUIRE(field.extent().cells() == extent_.cells() && field.extent().i0 == extent_.i0 &&
-                     field.extent().j0 == extent_.j0,
-                 "field extent does not match this exchanger's block");
+  require_block(field.extent());
   if (should_skip(field.view().data(), field.alloc_id(), field.version())) return;
   do_update(field.view().data(), field.nz(), sign, method);
 }
 
-void HaloExchanger::pack_box(const double* base, int nz, Halo3DMethod method, int j0, int nj,
-                             int i0, int ni, double* out) {
+void HaloExchanger::pack_box(const double* base, int nz, Halo3DMethod method, const HaloBox& b,
+                             double* out) {
   const long long nxt = extent_.nx() + 2 * decomp::kHaloWidth;
   const long long nyt = extent_.ny() + 2 * decomp::kHaloWidth;
-  BufStrides bs = buffer_strides(method, nz, nj, ni);
+  BufStrides bs = buffer_strides(method, nz, b.nj, b.ni);
   BoxCopy op;
-  op.src = base + static_cast<long long>(j0) * nxt + i0;
+  op.src = base + static_cast<long long>(b.j0) * nxt + b.i0;
   op.dst = out;
-  op.n1 = nj;
-  op.n2 = ni;
+  op.n1 = b.nj;
+  op.n2 = b.ni;
   op.ss0 = nxt * nyt;
   op.ss1 = nxt;
   op.ss2 = 1;
@@ -134,33 +166,77 @@ void HaloExchanger::pack_box(const double* base, int nz, Halo3DMethod method, in
   op.ds1 = bs.s1;
   op.ds2 = bs.s2;
   box_copy(op, nz);
-  const std::uint64_t elements = static_cast<std::uint64_t>(nz) * nj * ni;
+  const std::uint64_t elements = static_cast<std::uint64_t>(nz) * b.nj * b.ni;
   stats_.packed_elements += elements;
   note_counter("halo.packed_elements", elements);
 }
 
-void HaloExchanger::unpack_box(double* base, int nz, Halo3DMethod method, int j0, int nj,
-                               int i0, int ni, long long dst_sj, long long dst_si, double scale,
-                               const double* in) {
+void HaloExchanger::unpack_box(double* base, int nz, Halo3DMethod method, const HaloBox& b,
+                               bool fold, double scale, const double* in) {
   const long long nxt = extent_.nx() + 2 * decomp::kHaloWidth;
   const long long nyt = extent_.ny() + 2 * decomp::kHaloWidth;
-  BufStrides bs = buffer_strides(method, nz, nj, ni);
+  BufStrides bs = buffer_strides(method, nz, b.nj, b.ni);
+  // Across the fold the message's first row is the partner's row farthest
+  // from the seam (my outermost ghost row) and its columns ascend where mine
+  // descend: start at the box's far corner and walk backwards.
+  const long long j = fold ? b.j0 + b.nj - 1 : b.j0;
+  const long long i = fold ? b.i0 + b.ni - 1 : b.i0;
   BoxCopy op;
   op.src = in;
-  op.dst = base + static_cast<long long>(j0) * nxt + i0;
-  op.n1 = nj;
-  op.n2 = ni;
+  op.dst = base + j * nxt + i;
+  op.n1 = b.nj;
+  op.n2 = b.ni;
   op.ss0 = bs.s0;
   op.ss1 = bs.s1;
   op.ss2 = bs.s2;
   op.ds0 = nxt * nyt;
-  op.ds1 = dst_sj;
-  op.ds2 = dst_si;
+  op.ds1 = fold ? -nxt : nxt;
+  op.ds2 = fold ? -1 : 1;
   op.scale = scale;
   box_copy(op, nz);
-  const std::uint64_t elements = static_cast<std::uint64_t>(nz) * nj * ni;
+  const std::uint64_t elements = static_cast<std::uint64_t>(nz) * b.nj * b.ni;
   stats_.unpacked_elements += elements;
   note_counter("halo.unpacked_elements", elements);
+}
+
+void HaloExchanger::zero_box(double* base, int nz, const HaloBox& b) {
+  const long long nxt = extent_.nx() + 2 * decomp::kHaloWidth;
+  const long long nyt = extent_.ny() + 2 * decomp::kHaloWidth;
+  const long long plane = nxt * nyt;
+  for (int k = 0; k < nz; ++k)
+    for (int j = b.j0; j < b.j0 + b.nj; ++j)
+      std::fill_n(base + k * plane + static_cast<long long>(j) * nxt + b.i0, b.ni, 0.0);
+}
+
+void HaloExchanger::seal_crc(double* msg, std::size_t payload) const {
+  if (!verify_crc_) return;
+  util::Crc64 crc;
+  crc.update(msg, payload * sizeof(double));
+  const std::uint64_t value = crc.value();
+  std::memcpy(msg + payload, &value, sizeof(value));
+}
+
+void HaloExchanger::check_message(const double* msg, std::size_t payload, std::size_t got_bytes,
+                                  int src, int tag) const {
+  auto where = [&] {
+    return " on rank " + std::to_string(rank_) + " (from rank " + std::to_string(src) +
+           ", tag " + std::to_string(tag) + ")";
+  };
+  const std::size_t expected = wire_doubles(payload) * sizeof(double);
+  if (got_bytes != expected) {
+    throw CommError("halo message size mismatch" + where() + ": got " +
+                    std::to_string(got_bytes) + " bytes, expected " + std::to_string(expected) +
+                    " — ranks disagree on the message layout (a group's enrolled/dirty fields)");
+  }
+  if (!verify_crc_) return;
+  util::Crc64 crc;
+  crc.update(msg, payload * sizeof(double));
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, msg + payload, sizeof(stored));
+  if (crc.value() != stored) {
+    note_counter("resilience.halo_crc_failures", 1);
+    throw CommError("halo message CRC mismatch" + where() + ": in-flight corruption detected");
+  }
 }
 
 void HaloExchanger::post_send(const void* buf, std::size_t bytes, int dest, int tag) {
@@ -175,133 +251,40 @@ void HaloExchanger::drain_sends() {
   inflight_sends_.clear();
 }
 
-void HaloExchanger::send_box(double* base, int nz, Halo3DMethod method, int dest, int tag,
-                             int j0, int nj, int i0, int ni) {
-  const size_t payload = static_cast<size_t>(nz) * nj * ni;
-  // With CRC verification on, the message carries one trailing word holding
-  // the CRC-64 of the packed payload.
-  std::vector<double> buf(payload + (verify_crc_ ? 1 : 0));
-  pack_box(base, nz, method, j0, nj, i0, ni, buf.data());
-  if (verify_crc_) {
-    util::Crc64 crc;
-    crc.update(buf.data(), payload * sizeof(double));
-    std::uint64_t value = crc.value();
-    std::memcpy(&buf[payload], &value, sizeof(value));
-  }
-  post_send(buf.data(), buf.size() * sizeof(double), dest, tag);
-}
-
-void HaloExchanger::recv_box(double* base, int nz, Halo3DMethod method, int src, int tag,
-                             int j0, int nj, int i0, int ni, long long dst_sj, long long dst_si,
-                             double scale) {
-  const size_t payload = static_cast<size_t>(nz) * nj * ni;
-  std::vector<double> buf(payload + (verify_crc_ ? 1 : 0));
-  comm_.recv(buf.data(), buf.size() * sizeof(double), src, tag);
-  if (verify_crc_) {
-    util::Crc64 crc;
-    crc.update(buf.data(), payload * sizeof(double));
-    std::uint64_t stored = 0;
-    std::memcpy(&stored, &buf[payload], sizeof(stored));
-    if (crc.value() != stored) {
-      note_counter("resilience.halo_crc_failures", 1);
-      throw CommError("halo message CRC mismatch on rank " + std::to_string(rank_) +
-                            " (from rank " + std::to_string(src) + ", tag " +
-                            std::to_string(tag) + "): in-flight corruption detected");
-    }
-  }
-  unpack_box(base, nz, method, j0, nj, i0, ni, dst_sj, dst_si, scale, buf.data());
-}
-
-void HaloExchanger::zero_box(double* base, int nz, int j0, int nj, int i0, int ni) {
-  const long long nxt = extent_.nx() + 2 * decomp::kHaloWidth;
-  const long long nyt = extent_.ny() + 2 * decomp::kHaloWidth;
-  const long long plane = nxt * nyt;
-  for (int k = 0; k < nz; ++k)
-    for (int j = j0; j < j0 + nj; ++j)
-      std::fill_n(base + k * plane + static_cast<long long>(j) * nxt + i0, ni, 0.0);
-}
-
-/// Phase 1 sends: north/south + fold, interior columns. This is the portion
-/// begin_update posts before the caller's overlapped computation.
-void HaloExchanger::send_phase1(double* base, int nz, Halo3DMethod method) {
-  const int h = decomp::kHaloWidth;
-  const int nx = extent_.nx();
-  const int ny = extent_.ny();
-  if (neigh_.south >= 0)
-    send_box(base, nz, method, neigh_.south, detail::kTagToSouth, h, h, h, nx);
-  if (neigh_.north >= 0 && !neigh_.north_is_fold) {
-    send_box(base, nz, method, neigh_.north, detail::kTagToNorth, h + ny - h, h, h, nx);
-  }
-  if (top_row_fold_) {
-    const int nxg = decomp_.nx();
-    for (const FoldPartner& p : fold_partners_) {
-      // I send the mirror of the columns I receive: global [nxg - hi, nxg - lo).
-      int g_lo = nxg - p.col_hi;
-      int i_loc = h + (g_lo - extent_.i0);
-      send_box(base, nz, method, p.rank, detail::kTagFold, h + ny - h, h, i_loc,
-               p.col_hi - p.col_lo);
+void HaloExchanger::send_phase(const PhaseBoxes& p, double* base, int nz,
+                               Halo3DMethod method) {
+  for (const BoxLink& l : p.sends) {
+    const std::size_t payload = static_cast<std::size_t>(nz) * l.box.nj * l.box.ni;
+    std::vector<double> buf(wire_doubles(payload));
+    pack_box(base, nz, method, l.box, buf.data());
+    seal_crc(buf.data(), payload);
+    post_send(buf.data(), buf.size() * sizeof(double), l.peer, l.tag);
+    if (l.fold) {
       stats_.fold_messages += 1;
       note_counter("halo.fold_messages", 1);
     }
   }
 }
 
-/// Phase 1 receives + the full zonal phase 2 (which depends on phase 1's
+void HaloExchanger::recv_phase(const PhaseBoxes& p, double* base, int nz, FoldSign sign,
+                               Halo3DMethod method) {
+  for (const HaloBox& z : p.zeros) zero_box(base, nz, z);
+  const double fold_scale = sign == FoldSign::Symmetric ? 1.0 : -1.0;
+  for (const BoxLink& l : p.recvs) {
+    const std::size_t payload = static_cast<std::size_t>(nz) * l.box.nj * l.box.ni;
+    std::vector<double> buf(wire_doubles(payload));
+    const comm::Status st = comm_.recv(buf.data(), buf.size() * sizeof(double), l.peer, l.tag);
+    check_message(buf.data(), payload, st.bytes, l.peer, l.tag);
+    unpack_box(base, nz, method, l.box, l.fold, l.fold ? fold_scale : 1.0, buf.data());
+  }
+}
+
+/// Phase 0 receives + the full zonal phase 1 (which depends on phase 0's
 /// unpacked ghosts).
 void HaloExchanger::finish_phases(double* base, int nz, FoldSign sign, Halo3DMethod method) {
-  const int h = decomp::kHaloWidth;
-  const int nx = extent_.nx();
-  const int ny = extent_.ny();
-  const long long nxt = nx + 2 * h;
-  const long long nyt = ny + 2 * h;
-  const double fold_scale = sign == FoldSign::Symmetric ? 1.0 : -1.0;
-
-  if (neigh_.south >= 0) {
-    recv_box(base, nz, method, neigh_.south, detail::kTagToNorth, 0, h, h, nx, nxt, 1, 1.0);
-  } else {
-    zero_box(base, nz, 0, h, 0, static_cast<int>(nxt));
-  }
-  if (neigh_.north >= 0 && !neigh_.north_is_fold) {
-    recv_box(base, nz, method, neigh_.north, detail::kTagToSouth, h + ny, h, h, nx, nxt, 1,
-             1.0);
-  } else if (!top_row_fold_) {
-    zero_box(base, nz, h + ny, h, 0, static_cast<int>(nxt));
-  }
-  if (top_row_fold_) {
-    const int nxg = decomp_.nx();
-    for (const FoldPartner& p : fold_partners_) {
-      // Received buffer covers global columns [col_lo, col_hi), rows
-      // (ny_g-2, ny_g-1) ascending. Ghost row d=1 (local h+ny) mirrors the
-      // top row; d=2 mirrors the row below it. Columns mirror: global m maps
-      // to local i = h + (nxg-1-m) - i0, so ascending m walks i downward.
-      int ni = p.col_hi - p.col_lo;
-      int i_start = h + (nxg - 1 - p.col_lo) - extent_.i0;
-      recv_box(base, nz, method, p.rank, detail::kTagFold, h + ny + 1, h, i_start, ni, -nxt,
-               -1, fold_scale);
-    }
-  }
-
-  /// ---- Phase 2: east/west over the full meridional extent ----------------
-  if (neigh_.west >= 0) {
-    send_box(base, nz, method, neigh_.west, detail::kTagToWest, 0, static_cast<int>(nyt), h,
-             h);
-  }
-  if (neigh_.east >= 0) {
-    send_box(base, nz, method, neigh_.east, detail::kTagToEast, 0, static_cast<int>(nyt),
-             h + nx - h, h);
-  }
-  if (neigh_.west >= 0) {
-    recv_box(base, nz, method, neigh_.west, detail::kTagToEast, 0, static_cast<int>(nyt), 0, h,
-             nxt, 1, 1.0);
-  } else {
-    zero_box(base, nz, 0, static_cast<int>(nyt), 0, h);
-  }
-  if (neigh_.east >= 0) {
-    recv_box(base, nz, method, neigh_.east, detail::kTagToWest, 0, static_cast<int>(nyt),
-             h + nx, h, nxt, 1, 1.0);
-  } else {
-    zero_box(base, nz, 0, static_cast<int>(nyt), h + nx, h);
-  }
+  recv_phase(table_[0], base, nz, sign, method);
+  send_phase(table_[1], base, nz, method);
+  recv_phase(table_[1], base, nz, sign, method);
   drain_sends();
 }
 
@@ -310,15 +293,13 @@ void HaloExchanger::do_update(double* base, int nz, FoldSign sign, Halo3DMethod 
   stats_.exchanges += 1;
   stats_.equiv_messages += static_cast<std::uint64_t>(full_message_count());
   note_counter("halo.exchanges", 1);
-  send_phase1(base, nz, method);
+  send_phase(table_[0], base, nz, method);
   finish_phases(base, nz, sign, method);
 }
 
 HaloExchanger::Pending HaloExchanger::begin_update(BlockField3D& field, FoldSign sign,
                                                    Halo3DMethod method) {
-  LICOMK_REQUIRE(field.extent().cells() == extent_.cells() && field.extent().i0 == extent_.i0 &&
-                     field.extent().j0 == extent_.j0,
-                 "field extent does not match this exchanger's block");
+  require_block(field.extent());
   Pending p;
   if (should_skip(field.view().data(), field.alloc_id(), field.version())) {
     p.state_ = Pending::State::Skipped;
@@ -336,7 +317,7 @@ HaloExchanger::Pending HaloExchanger::begin_update(BlockField3D& field, FoldSign
   note_counter("halo.exchanges", 1);
   {
     telemetry::ScopedSpan span("halo_begin", "halo", {}, p.nz_);
-    send_phase1(p.view_.data(), p.nz_, p.method_);
+    send_phase(table_[0], p.view_.data(), p.nz_, p.method_);
   }
   return p;
 }

@@ -20,12 +20,15 @@
 // Skip entries are keyed on (base pointer, allocation id): a new field
 // allocated at a freed field's address never inherits the stale entry.
 //
-// For message aggregation across many fields, see PersistentGroup
-// (persistent_group.hpp), which shares this class's pack/unpack/skip
-// machinery but sends one fused message per peer per phase for the whole
-// group through a cached plan.
+// Geometry lives in one place: the constructor builds a box table (which box
+// goes to which peer, in which phase, across which fold seam) and every
+// exchange walks it. The per-field update() sends one message per table
+// entry; PersistentGroup (persistent_group.hpp) fuses the same entries into
+// one message per peer per phase and shares this class's pack/unpack/skip
+// machinery and wire check.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -44,6 +47,36 @@ enum class Halo3DMethod {
   HorizontalMajor,         ///< native layout, k slowest in the message
   TransposeVerticalMajor,  ///< Fig. 5 transpose, k fastest in the message
 };
+
+/// A rectangle of a block field in halo-inclusive local coordinates: rows
+/// [j0, j0 + nj), columns [i0, i0 + ni), every level.
+struct HaloBox {
+  int j0 = 0, nj = 0, i0 = 0, ni = 0;
+};
+
+/// One entry of the box table: a box exchanged with `peer` as one per-field
+/// message with tag `tag`. A send entry's box is the interior strip this
+/// rank packs; a receive entry's box is the ghost strip the peer's message
+/// fills. `fold` marks the tripolar seam: a fold receive is mirrored (the
+/// message's rows and columns run backwards through the box) and scaled by
+/// the field's FoldSign.
+struct BoxLink {
+  int peer = -1;
+  int tag = 0;
+  HaloBox box;
+  bool fold = false;
+};
+
+/// The halo geometry of one exchange phase: 0 = meridional + tripolar fold,
+/// 1 = zonal over the full meridional extent (it reads phase 0's ghosts).
+struct PhaseBoxes {
+  std::vector<BoxLink> sends;  ///< this rank's sends, in canonical sender order
+  /// The boxes from any one peer are in that peer's send order, so a fused
+  /// message needs no header.
+  std::vector<BoxLink> recvs;
+  std::vector<HaloBox> zeros;  ///< ghosts beyond a closed boundary
+};
+using BoxTable = std::array<PhaseBoxes, 2>;
 
 struct HaloStats {
   std::uint64_t exchanges = 0;        ///< field exchanges that did work
@@ -67,7 +100,16 @@ struct HaloStats {
 /// it is not thread-safe across concurrent updates of the same instance.
 class HaloExchanger {
  public:
-  HaloExchanger(const decomp::Decomposition& decomp, comm::Communicator comm, int rank);
+  /// `verify_crc` enables per-message integrity: pack appends a CRC-64/XZ
+  /// of the message payload as one trailing word; unpack recomputes and
+  /// verifies it before scattering into the field. A mismatch (e.g. an
+  /// injected in-flight bit flip) bumps "resilience.halo_crc_failures" and
+  /// throws comm::CommError, which poisons the World so the run supervisor
+  /// recovers instead of silently integrating corrupted ghost cells. All
+  /// ranks of a run must agree on it (the message layout changes). A fused
+  /// group message carries one CRC word for its whole multi-field payload.
+  HaloExchanger(const decomp::Decomposition& decomp, comm::Communicator comm, int rank,
+                bool verify_crc = false);
 
   /// Full 2-D halo update (both phases). `sign` selects the north-fold
   /// transformation (velocities flip sign across the seam).
@@ -117,15 +159,6 @@ class HaloExchanger {
   /// Enable/disable redundant-exchange elimination (default on).
   void set_eliminate_redundant(bool on) { eliminate_redundant_ = on; }
 
-  /// Opt-in per-message integrity: pack appends a CRC-64/XZ of the message
-  /// payload as one trailing word; unpack recomputes and verifies it before
-  /// scattering into the field. A mismatch (e.g. an injected in-flight bit
-  /// flip) bumps "resilience.halo_crc_failures" and throws comm::CommError,
-  /// which poisons the World so the run supervisor recovers instead of
-  /// silently integrating corrupted ghost cells. All ranks of a run must
-  /// agree on this flag (the message layout changes). A fused group message
-  /// carries one CRC word for its whole multi-field payload.
-  void set_verify_crc(bool on) { verify_crc_ = on; }
   bool verify_crc() const { return verify_crc_; }
 
   /// Tenant tag-space partitioning: every PersistentGroup on this exchanger
@@ -143,18 +176,16 @@ class HaloExchanger {
   int rank() const { return rank_; }
   const decomp::BlockExtent& extent() const { return extent_; }
 
-  /// Messages one full per-field exchange costs on this rank (meridional +
-  /// fold + zonal sends): the per-field equivalent behind equiv_messages.
+  /// Messages one full per-field exchange costs on this rank: the send
+  /// entries of the box table, the per-field equivalent behind
+  /// equiv_messages.
   int full_message_count() const;
+
+  /// This rank's box table, built once at construction.
+  const BoxTable& box_table() const { return table_; }
 
  private:
   friend class PersistentGroup;
-
-  struct FoldPartner {
-    int rank;      ///< partner block on the top row
-    int col_lo;    ///< global columns [col_lo, col_hi) I RECEIVE from it
-    int col_hi;
-  };
 
   /// Redundancy-eliminator entry: the version last exchanged from a given
   /// base address, qualified by the owning field's allocation id so address
@@ -172,19 +203,31 @@ class HaloExchanger {
   void claim_tag_range(int first, int last, const std::string& owner);
   void release_tag_range(int first) noexcept;
 
+  void build_box_table(const decomp::Decomposition& decomp);
+  void require_block(const decomp::BlockExtent& e) const;
   bool should_skip(const void* key, std::uint64_t alloc_id, std::uint64_t version);
   void do_update(double* base, int nz, FoldSign sign, Halo3DMethod method);
-  void send_phase1(double* base, int nz, Halo3DMethod method);
+  /// Per-field path: one message per send entry of a phase; then every
+  /// receive entry and zero box of it.
+  void send_phase(const PhaseBoxes& p, double* base, int nz, Halo3DMethod method);
+  void recv_phase(const PhaseBoxes& p, double* base, int nz, FoldSign sign, Halo3DMethod method);
   void finish_phases(double* base, int nz, FoldSign sign, Halo3DMethod method);
-  /// Pack/unpack one (nz, nj, ni) halo box to/from a contiguous buffer
-  /// (kxx box-copy kernel); shared by per-field messages and groups.
-  void pack_box(const double* base, int nz, Halo3DMethod method, int j0, int nj, int i0,
-                int ni, double* out);
-  void unpack_box(double* base, int nz, Halo3DMethod method, int j0, int nj, int i0, int ni,
-                  long long dst_sj, long long dst_si, double scale, const double* in);
-  void send_box(double* base, int nz, Halo3DMethod method, int dest, int tag, int j0, int nj,
-                int i0, int ni);
-  /// Nonblocking send + request tracking: every outbound halo message goes
+  /// Pack/unpack one (nz, box) halo box to/from a contiguous buffer (kxx
+  /// box-copy kernel); shared by per-field messages and groups. A fold
+  /// unpack walks the box backwards in j and i.
+  void pack_box(const double* base, int nz, Halo3DMethod method, const HaloBox& b, double* out);
+  void unpack_box(double* base, int nz, Halo3DMethod method, const HaloBox& b, bool fold,
+                  double scale, const double* in);
+  void zero_box(double* base, int nz, const HaloBox& b);
+  /// The wire check both paths share. A message is `payload` doubles plus,
+  /// with verify_crc on, one trailing CRC word: seal_crc writes it;
+  /// check_message rejects a received message whose byte count or CRC is
+  /// wrong with a CommError naming the source and tag.
+  std::size_t wire_doubles(std::size_t payload) const { return payload + (verify_crc_ ? 1 : 0); }
+  void seal_crc(double* msg, std::size_t payload) const;
+  void check_message(const double* msg, std::size_t payload, std::size_t got_bytes, int src,
+                     int tag) const;
+  /// Nonblocking send + request tracking: every per-field message goes
   /// through isend, with the Request parked in inflight_sends_ until the
   /// next drain point (the end of the phases that posted it). The comm
   /// layer's buffered sends complete at post time, so the drain is
@@ -192,20 +235,14 @@ class HaloExchanger {
   /// transports: no buffer is touched between post and drain.
   void post_send(const void* buf, std::size_t bytes, int dest, int tag);
   void drain_sends();
-  void recv_box(double* base, int nz, Halo3DMethod method, int src, int tag, int j0, int nj,
-                int i0, int ni, long long dst_sj, long long dst_si, double scale);
-  void zero_box(double* base, int nz, int j0, int nj, int i0, int ni);
 
-  const decomp::Decomposition& decomp_;
   comm::Communicator comm_;
   int rank_;
   decomp::BlockExtent extent_;
-  decomp::Neighbors neigh_;
-  bool top_row_fold_ = false;
-  std::vector<FoldPartner> fold_partners_;
+  bool verify_crc_;
+  BoxTable table_;
 
   bool eliminate_redundant_ = true;
-  bool verify_crc_ = false;
   int tag_base_ = 0;
   struct TagClaim {
     int first;

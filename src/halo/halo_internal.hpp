@@ -1,6 +1,9 @@
 // halo_internal.hpp — constants and helpers shared between the per-field
 // exchanger (halo_exchange.cpp) and the multi-field PersistentGroup
 // (persistent_group.cpp). Internal to the halo library; not installed API.
+// The halo geometry itself is not here: it is the box table
+// HaloExchanger builds at construction (BoxTable, halo_exchange.hpp), and
+// the message wire check (CRC word, received size) is HaloExchanger's too.
 #pragma once
 
 #include <cstdint>
@@ -10,7 +13,8 @@
 
 namespace licomk::halo::detail {
 
-/// Per-field message tags (one message per field per direction).
+/// Per-field message tags, one per direction; every box-table entry carries
+/// the tag of its direction (a receive carries its sender's).
 inline constexpr int kTagToSouth = 10;
 inline constexpr int kTagToNorth = 11;
 inline constexpr int kTagToWest = 12;

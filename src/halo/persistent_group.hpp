@@ -9,27 +9,27 @@
 // MPI_Recv_init at plan build, MPI_Start / MPI_Wait per exchange); each round
 // then only packs, starts, and waits:
 //
-//   * per-peer message fusion — every box headed to the same peer in the
-//     same phase travels in ONE message, fields concatenated in enrollment
+//   * per-peer message fusion — the exchanger's box table (which box goes
+//     to which peer in which phase, HaloExchanger::box_table()) is the only
+//     geometry; the plan fuses every table entry headed to the same peer in
+//     the same phase into ONE message, fields concatenated in enrollment
 //     order inside each box, each packed with its own Halo3DMethod strides
 //     (e.g. with px == 2 the west and east zonal strips go to the same rank:
 //     one message instead of two). The box order inside a fused message is
-//     canonical — both sides derive it from the decomposition alone, so no
-//     header is needed. Unpacking applies each field's own FoldSign across
+//     the table's, which both sides derive from the decomposition alone, so
+//     no header is needed. Unpacking applies each field's own FoldSign across
 //     the tripolar seam.
-//   * self-copy elimination — a "message" whose peer is this rank (px == 1
+//   * self-copy elimination — a table entry whose peer is this rank (px == 1
 //     zonal periodicity, a fold partner straddling the mirror midpoint)
 //     never touches the communicator: it is packed into a staging buffer
 //     and unpacked locally through the exact same box kernels.
-//   * pre-registered buffers — each message's pack/unpack buffer is sized
-//     once and bound to a comm::PersistentRequest; exchanges reuse them.
-//     With CRC verification on, one trailing CRC-64 word covers the whole
-//     fused payload.
-//   * a deferred send-buffer pool — each send op owns a 2-deep ring of
-//     (buffer, request) pairs. finish() does NOT wait for sends; the next
-//     begin() waits only the ring slot it is about to refill, so a start()
-//     never blocks on buffer reuse and send completion overlaps the
-//     caller's compute between exchanges.
+//   * pre-registered buffers — each message owns one buffer, sized once and
+//     bound to a comm::PersistentRequest; exchanges reuse them. finish()
+//     does not wait for sends: a send's previous start() is waited just
+//     before its buffer is refilled, which is bookkeeping only because
+//     Communicator::start() copies the payload out. With CRC verification
+//     on, one trailing CRC-64 word covers the whole fused payload, sealed
+//     and checked by the exchanger's one wire check.
 //
 // Ghost values are bit-identical to sequential per-field update() calls
 // (asserted in test_persistent_group across layouts, fold signs, 3-D methods
@@ -49,9 +49,9 @@
 // begin() re-resolves the enrolled fields' buffers, so prognostic rotation
 // (buffer swaps between enrolled fields) needs no rebuild. The plan is built
 // lazily by the first round in which at least one field participates (an
-// all-skipped round allocates nothing and claims no tags), and invalidated by
-// add() (enrollment change) and by a verify_crc flip on the underlying
-// exchanger (message layout changes); a decomposition change means a new
+// all-skipped round allocates nothing and claims no tags) and keyed on
+// enrollment only: add() invalidates it. verify_crc is fixed when the
+// exchanger is constructed, and a decomposition change means a new
 // HaloExchanger and therefore a new group. Plan-cache traffic is observable
 // via plan_builds()/plan_hits() and the process-wide
 // "halo.persistent.plan_builds"/"halo.persistent.plan_hits" counters.
@@ -67,6 +67,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "halo/halo_exchange.hpp"
@@ -92,12 +93,12 @@ class PersistentGroup {
            Halo3DMethod method = Halo3DMethod::TransposeVerticalMajor);
 
   /// Post the meridional + fold phase: pack, start the persistent sends
-  /// (waiting only ring slots still in flight from the PREVIOUS round),
-  /// start the persistent receives. Interior compute may overlap until
+  /// (waiting each one's start from the PREVIOUS round before refilling its
+  /// buffer), start the persistent receives. Interior compute may overlap until
   /// finish(); enrolled fields must not be written in between.
   void begin();
   /// Complete phase 1 (wait receives, verify, unpack), run the zonal phase
-  /// 2 the same way. Send requests are left in flight (deferred pool).
+  /// 2 the same way. Send requests are left in flight until the next round.
   /// Throws if begin() was not called, or if a participating field's buffer
   /// changed since begin().
   void finish();
@@ -137,60 +138,30 @@ class PersistentGroup {
   };
   enum class Phase { Idle, Begun };
 
-  /// A rectangular source box packed into a message, in sender-local
-  /// halo-inclusive coordinates (same parameters as pack_box).
-  struct PackBox {
-    int j0, nj, i0, ni;
-    bool fold = false;  ///< fold-seam box (fold_messages accounting)
-  };
-  /// A destination box scattered from a message (same parameters as
-  /// unpack_box; fold selects the per-field FoldSign scale).
-  struct UnpackBox {
-    int j0, nj, i0, ni;
-    long long dst_sj, dst_si;
-    bool fold = false;
-  };
-  struct ZeroBox {
-    int j0, nj, i0, ni;
-  };
-
-  /// One fused outbound message: every box this rank sends to `peer` in one
-  /// phase, with a 2-deep deferred ring of pre-registered (buffer, request)
-  /// pairs so starting a new round never blocks on the previous round's
-  /// buffer.
-  struct SendOp {
+  /// One fused message: the table entries exchanged with `peer` in one
+  /// phase (a run of the exchanger's box table, which outlives the plan),
+  /// with its one registered buffer and request.
+  struct MessageOp {
     int peer = -1;
-    int tag = 0;
-    std::vector<PackBox> boxes;
-    std::size_t payload = 0;  ///< doubles, all slots, CRC word excluded
-    struct RingSlot {
-      std::vector<double> buf;
-      comm::PersistentRequest req;
-    };
-    std::array<RingSlot, 2> ring;
-    int cursor = 0;
-  };
-  /// One fused inbound message, same canonical box order as the sender.
-  struct RecvOp {
-    int peer = -1;
-    int tag = 0;
-    std::vector<UnpackBox> boxes;
-    std::size_t payload = 0;
+    std::span<const BoxLink> links;
+    std::size_t payload = 0;  ///< doubles when every field participates, CRC word excluded
     std::vector<double> buf;
     comm::PersistentRequest req;
   };
-  /// A peer-is-self "message": packed into staging and unpacked locally with
-  /// the identical payload layout a wire message would have used.
+  /// The peer-is-self entries of one phase: packed into staging and
+  /// unpacked locally with the identical payload layout a wire message
+  /// would have used. pack[n] and unpack[n] are the same table box seen
+  /// from both ends.
   struct CopyOp {
-    std::vector<PackBox> pack;
-    std::vector<UnpackBox> unpack;
+    std::span<const BoxLink> pack;
+    std::span<const BoxLink> unpack;
     std::vector<double> staging;
   };
   struct PhasePlan {
-    std::vector<SendOp> sends;
-    std::vector<RecvOp> recvs;
-    std::vector<CopyOp> copies;
-    std::vector<ZeroBox> zeros;
+    int tag = 0;
+    std::vector<MessageOp> sends;
+    std::vector<MessageOp> recvs;
+    CopyOp self;
   };
 
   void ensure_plan();
@@ -199,28 +170,28 @@ class PersistentGroup {
   /// Effective tag block: local block offset by the exchanger's tenant base.
   int eff_block() const;
   /// The persistent tag range is claimed for the PLAN's lifetime, not per
-  /// exchange: registered persistent requests (and deferred ring sends) keep
+  /// exchange: registered persistent requests (and sends left in flight) keep
   /// the tags live between rounds. Claimed in build_plan(), released by
   /// invalidate_plan()/destruction; an overlap with any live claim is a hard
   /// CommError.
   void claim_tags();
   void release_tags() noexcept;
   void resolve(Slot& slot);
-  /// Doubles one box contributes for the currently participating slots.
-  std::size_t box_elements(int nj, int ni) const;
-  /// Doubles one box contributes when every slot participates (plan sizing).
-  std::size_t box_elements_full(int nj, int ni) const;
+  /// Split table entries into one fused op per remote peer and the
+  /// peer-is-self entries. The table lists each peer's entries of a phase as
+  /// one run (test_halo's BoxTableInvariants), so every op is a span of it.
+  void fuse(std::span<const BoxLink> links, std::vector<MessageOp>& ops,
+            std::span<const BoxLink>& self) const;
+  /// Doubles `links` carry for every slot (`all`) or the participating ones.
+  std::size_t payload_doubles(std::span<const BoxLink> links, bool all) const;
   /// Post one phase: pack + start (or plain-send) every send op, start the
   /// persistent receives. Returns without waiting for anything inbound.
   void post_phase(PhasePlan& plan);
-  /// Complete one phase: run self copies and zero boxes, wait + verify +
-  /// unpack every receive. Deferred sends stay in flight.
-  void complete_phase(PhasePlan& plan);
-  void pack_message(const std::vector<PackBox>& boxes, double* out);
-  void unpack_message(const std::vector<UnpackBox>& boxes, const double* in);
-  void seal_crc(double* buf, std::size_t payload) const;
-  void check_crc(const double* buf, std::size_t payload, int src) const;
-  std::size_t message_doubles(std::size_t payload) const;
+  /// Complete one phase: run the self copy and zero boxes, wait + check +
+  /// unpack every receive. Sends stay in flight.
+  void complete_phase(int phase);
+  void pack_message(std::span<const BoxLink> links, double* out);
+  void unpack_message(std::span<const BoxLink> links, const double* in);
 
   HaloExchanger& ex_;
   int tag_block_;
@@ -231,7 +202,6 @@ class PersistentGroup {
 
   bool plan_valid_ = false;
   bool tags_claimed_ = false;
-  bool plan_crc_ = false;  ///< verify_crc the plan's buffers were sized for
   std::array<PhasePlan, 2> plan_;
   std::uint64_t plan_builds_ = 0;
   std::uint64_t plan_hits_ = 0;

@@ -14,6 +14,7 @@
 #include "halo/halo_exchange.hpp"
 #include "halo/persistent_group.hpp"
 #include "halo_group_fixtures.hpp"
+#include "kxx_env.hpp"
 #include "resilience/fault_injector.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
@@ -155,8 +156,7 @@ TEST(GroupExchange, CrcDetectsCorruptionInFusedMessage) {
   ld::Decomposition d(16, 10, 2, 1);
   EXPECT_THROW(lc::Runtime::run(2,
                                 [&](lc::Communicator& c) {
-                                  lh::HaloExchanger ex(d, c, c.rank());
-                                  ex.set_verify_crc(true);
+                                  lh::HaloExchanger ex(d, c, c.rank(), /*verify_crc=*/true);
                                   FieldSet grp(d.block(c.rank()), "grp");
                                   lh::PersistentGroup group(ex);
                                   grp.enroll(group);

@@ -1,7 +1,7 @@
-// Tests for the halo exchange engine: periodic wrap, tripolar fold (with
-// velocity sign flip), 3-D methods (horizontal-major vs Fig. 5 transpose),
-// multi-rank consistency, redundancy elimination, and the transpose
-// operators.
+// Tests for the halo exchange engine: the box table's geometry invariants,
+// periodic wrap, tripolar fold (with velocity sign flip), 3-D methods
+// (horizontal-major vs Fig. 5 transpose), multi-rank consistency, redundancy
+// elimination, and the transpose operators.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +13,7 @@
 #include "halo/halo_exchange.hpp"
 #include "halo/transpose.hpp"
 #include "kxx/kxx.hpp"
+#include "kxx_env.hpp"
 #include "resilience/fault_injector.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
@@ -88,10 +89,97 @@ void run_exchange_case(int nx, int ny, int px, int py, lh::FoldSign sign,
   });
 }
 
+/// The box table of every rank of `d`: within a phase the receive and zero
+/// boxes are pairwise disjoint ghost boxes, and the two phases together cover
+/// every ghost cell of the halo ring; the send entries are the per-field
+/// message count; each peer's sends (and receives) of a phase form one run,
+/// the slice a fused message is planned from; and what rank a sends to rank
+/// b in a phase is, in order, tag and shape, what b receives from a (so a
+/// fused message needs no header).
+void check_box_table(const ld::Decomposition& d) {
+  lc::World world(d.nranks());
+  std::vector<std::unique_ptr<lh::HaloExchanger>> ex;
+  for (int r = 0; r < d.nranks(); ++r) {
+    ex.push_back(std::make_unique<lh::HaloExchanger>(d, world.communicator(r), r));
+  }
+  for (int r = 0; r < d.nranks(); ++r) {
+    const lh::BoxTable& table = ex[r]->box_table();
+    const ld::BlockExtent e = d.block(r);
+    const int nxt = e.nx() + 2 * kH;
+    const int nyt = e.ny() + 2 * kH;
+    auto ghost = [&](int j, int i) {
+      return j < kH || j >= kH + e.ny() || i < kH || i >= kH + e.nx();
+    };
+    EXPECT_EQ(static_cast<int>(table[0].sends.size() + table[1].sends.size()),
+              ex[r]->full_message_count());
+    std::vector<int> covered(static_cast<std::size_t>(nxt * nyt), 0);
+    for (std::size_t phase = 0; phase < table.size(); ++phase) {
+      for (const std::vector<lh::BoxLink>* links : {&table[phase].sends, &table[phase].recvs}) {
+        for (std::size_t k = 1; k < links->size(); ++k) {
+          for (std::size_t m = 0; m + 1 < k; ++m) {
+            EXPECT_FALSE((*links)[m].peer == (*links)[k].peer &&
+                         (*links)[k - 1].peer != (*links)[k].peer)
+                << "rank " << r << " phase " << phase << ": peer " << (*links)[k].peer
+                << " in two runs";
+          }
+        }
+      }
+      std::vector<int> hits(covered.size(), 0);
+      std::vector<lh::HaloBox> boxes = table[phase].zeros;
+      for (const lh::BoxLink& l : table[phase].recvs) boxes.push_back(l.box);
+      for (const lh::HaloBox& b : boxes) {
+        for (int j = b.j0; j < b.j0 + b.nj; ++j) {
+          for (int i = b.i0; i < b.i0 + b.ni; ++i) {
+            ASSERT_TRUE(j >= 0 && j < nyt && i >= 0 && i < nxt && ghost(j, i))
+                << "rank " << r << " phase " << phase << " j=" << j << " i=" << i;
+            const std::size_t n = static_cast<std::size_t>(j * nxt + i);
+            ASSERT_EQ(++hits[n], 1) << "rank " << r << " phase " << phase << " j=" << j
+                                    << " i=" << i << " written twice";
+            covered[n] += 1;
+          }
+        }
+      }
+    }
+    for (int j = 0; j < nyt; ++j) {
+      for (int i = 0; i < nxt; ++i) {
+        if (ghost(j, i)) {
+          EXPECT_GE(covered[static_cast<std::size_t>(j * nxt + i)], 1)
+              << "rank " << r << " ghost j=" << j << " i=" << i << " never written";
+        }
+      }
+    }
+  }
+  for (int a = 0; a < d.nranks(); ++a) {
+    for (int b = 0; b < d.nranks(); ++b) {
+      for (std::size_t phase = 0; phase < 2; ++phase) {
+        std::vector<lh::BoxLink> sent, got;
+        for (const lh::BoxLink& l : ex[a]->box_table()[phase].sends) {
+          if (l.peer == b) sent.push_back(l);
+        }
+        for (const lh::BoxLink& l : ex[b]->box_table()[phase].recvs) {
+          if (l.peer == a) got.push_back(l);
+        }
+        ASSERT_EQ(sent.size(), got.size()) << a << " -> " << b << " phase " << phase;
+        for (std::size_t k = 0; k < sent.size(); ++k) {
+          EXPECT_EQ(sent[k].tag, got[k].tag) << a << " -> " << b << " #" << k;
+          EXPECT_EQ(sent[k].fold, got[k].fold) << a << " -> " << b << " #" << k;
+          EXPECT_EQ(sent[k].box.nj, got[k].box.nj) << a << " -> " << b << " #" << k;
+          EXPECT_EQ(sent[k].box.ni, got[k].box.ni) << a << " -> " << b << " #" << k;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 class HaloLayouts
     : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
+
+TEST_P(HaloLayouts, BoxTableInvariants) {
+  auto [nx, ny, px, py] = GetParam();
+  check_box_table(ld::Decomposition(nx, ny, px, py));
+}
 
 TEST_P(HaloLayouts, Symmetric3DTransposeMethod) {
   auto [nx, ny, px, py] = GetParam();
@@ -129,6 +217,12 @@ INSTANTIATE_TEST_SUITE_P(Layouts, HaloLayouts,
                                            std::make_tuple(17, 11, 3, 2),
                                            std::make_tuple(16, 12, 2, 3)),
                          layout_name);
+
+TEST(Halo, BoxTableInvariantsBeyondTheLayouts) {
+  check_box_table(ld::Decomposition(16, 12, 1, 3));  // px == 1 tripolar: self fold + wrap
+  check_box_table(ld::Decomposition(16, 10, 2, 2, /*periodic_x=*/true, /*tripolar=*/false));
+  check_box_table(ld::Decomposition(16, 10, 3, 2, /*periodic_x=*/false, /*tripolar=*/false));
+}
 
 TEST(Halo, TwoDFieldExchange) {
   ld::Decomposition d(16, 10, 2, 2);
@@ -422,8 +516,7 @@ TEST(Halo, CrcVerificationIsTransparentWhenClean) {
   ld::Decomposition d(16, 10, 2, 2);
   lc::Runtime::run(4, [&](lc::Communicator& c) {
     lh::HaloExchanger plain(d, c, c.rank());
-    lh::HaloExchanger checked(d, c, c.rank());
-    checked.set_verify_crc(true);
+    lh::HaloExchanger checked(d, c, c.rank(), /*verify_crc=*/true);
     EXPECT_TRUE(checked.verify_crc());
     lh::BlockField3D a("a", d.block(c.rank()), 4);
     lh::BlockField3D b("b", d.block(c.rank()), 4);
@@ -452,8 +545,7 @@ TEST(Halo, CrcDetectsInjectedPayloadCorruption) {
   ld::Decomposition d(16, 10, 1, 1);
   EXPECT_THROW(lc::Runtime::run(1,
                                 [&](lc::Communicator& c) {
-                                  lh::HaloExchanger ex(d, c, 0);
-                                  ex.set_verify_crc(true);
+                                  lh::HaloExchanger ex(d, c, 0, /*verify_crc=*/true);
                                   lh::BlockField3D f("f", d.block(0), 3);
                                   fill_interior_3d(f);
                                   ex.update(f);

@@ -3,7 +3,7 @@
 // across layouts, fold signs, 3-D methods and CRC modes; equivalent-message
 // accounting against what the per-field path actually sends; per-peer message
 // fusion and self-copy elimination; plan-cache hit/miss accounting and
-// invalidation (enrollment change, CRC flip); the lazy plan of an all-skipped
+// invalidation (enrollment change); the lazy plan of an all-skipped
 // round; and the model's groups across an elastic shrink (redistributed
 // checkpoint) with per-field global CRC equality. The group's exchange
 // semantics (split phase, redundancy elimination, zonal-only refresh, CRC,
@@ -22,6 +22,7 @@
 #include "halo/halo_exchange.hpp"
 #include "halo/persistent_group.hpp"
 #include "halo_group_fixtures.hpp"
+#include "kxx_env.hpp"
 #include "resilience/redistribute.hpp"
 
 namespace lh = licomk::halo;
@@ -36,10 +37,8 @@ using namespace halo_group_test;
 void run_identity_case(int nx, int ny, int px, int py, bool crc) {
   ld::Decomposition d(nx, ny, px, py);
   lc::Runtime::run(d.nranks(), [&](lc::Communicator& c) {
-    lh::HaloExchanger ex_ref(d, c, c.rank());
-    lh::HaloExchanger ex(d, c, c.rank());
-    ex_ref.set_verify_crc(crc);
-    ex.set_verify_crc(crc);
+    lh::HaloExchanger ex_ref(d, c, c.rank(), crc);
+    lh::HaloExchanger ex(d, c, c.rank(), crc);
     FieldSet ref(d.block(c.rank()), "ref");
     FieldSet grp(d.block(c.rank()), "grp");
     lh::PersistentGroup group(ex);
@@ -214,30 +213,6 @@ TEST(PersistentGroup, EnrollmentChangeRebuildsPlan) {
     ex_ref.update(b_ref, lh::FoldSign::Antisymmetric, lh::Halo3DMethod::HorizontalMajor);
     expect_identical_3d(a, a_ref);
     expect_identical_3d(b, b_ref);
-  });
-}
-
-TEST(PersistentGroup, CrcFlipRebuildsPlan) {
-  // verify_crc changes the wire layout (one trailing CRC word per message),
-  // so flipping it must rebuild the registered buffers, not reuse them.
-  ld::Decomposition d(16, 10, 2, 2);
-  lc::Runtime::run(4, [&](lc::Communicator& c) {
-    lh::HaloExchanger ex(d, c, c.rank());
-    lh::HaloExchanger ex_ref(d, c, c.rank());
-    FieldSet grp(d.block(c.rank()), "grp");
-    FieldSet ref(d.block(c.rank()), "ref");
-    lh::PersistentGroup group(ex);
-    grp.enroll(group);
-    group.exchange();
-    EXPECT_EQ(group.plan_builds(), 1u);
-    ex.set_verify_crc(true);
-    ex_ref.set_verify_crc(true);
-    grp.refill(5);
-    ref.refill(5);
-    group.exchange();
-    ref.update_per_field(ex_ref);
-    EXPECT_EQ(group.plan_builds(), 2u);
-    grp.expect_identical_to(ref);
   });
 }
 

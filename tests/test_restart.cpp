@@ -2,8 +2,10 @@
 // multi-rank file-per-process round trips.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 
 #include "comm/runtime.hpp"
@@ -32,6 +34,27 @@ struct TempPrefix {
     for (int r = 0; r < ranks; ++r) std::remove(lc::restart_rank_path(prefix, r).c_str());
   }
 };
+
+/// Overwrite a restart file's interior shape in place: three int32s (nx, ny,
+/// nz) after the 8-byte magic and the int32 version. The payload CRC does not
+/// cover the header, so only the shape checks can catch this.
+void patch_header_shape(const std::string& path, std::int32_t nx, std::int32_t ny,
+                        std::int32_t nz) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  const std::int32_t shape[3] = {nx, ny, nz};
+  f.seekp(12);
+  f.write(reinterpret_cast<const char*>(shape), sizeof(shape));
+  ASSERT_TRUE(f.good());
+}
+
+/// A corrupt shape must surface as licomk::Error from the raw reader (never
+/// an allocation failure or integer overflow) and as "not intact" from the
+/// inspect/verify helpers.
+void expect_shape_rejected(const std::string& path) {
+  EXPECT_THROW(lc::read_restart_raw(path), licomk::Error);
+  EXPECT_FALSE(lc::inspect_restart(path).has_value());
+  EXPECT_FALSE(lc::verify_restart(path).has_value());
+}
 }  // namespace
 
 TEST(Restart, RoundTripPreservesEveryField) {
@@ -192,6 +215,35 @@ TEST(Restart, CrcDetectsBitFlipAndTruncation) {
   ASSERT_TRUE(lc::verify_restart(path).has_value());
   licomk::resilience::tear_file(path, 0.6);
   EXPECT_FALSE(lc::verify_restart(path).has_value());
+}
+
+TEST(Restart, RejectsAbsurdHeaderShapeBeforeAllocating) {
+  kxx::initialize({kxx::Backend::Serial, 1, false});
+  TempPrefix tp("absurd", 1);
+  lc::LicomModel m(small_config());
+  m.write_restart(tp.prefix);
+  const std::string path = lc::restart_rank_path(tp.prefix, 0);
+  // INT32_MAX per axis: ny + 2h overflows a signed int, and the storage
+  // sizes would wrap.
+  const std::int32_t big = std::numeric_limits<std::int32_t>::max();
+  patch_header_shape(path, big, big, big);
+  expect_shape_rejected(path);
+  // Representable, but 10^15 doubles per 3-D field: petabytes to allocate.
+  patch_header_shape(path, 100000, 100000, 100000);
+  expect_shape_rejected(path);
+}
+
+TEST(Restart, RejectsNegativeHeaderShape) {
+  kxx::initialize({kxx::Backend::Serial, 1, false});
+  TempPrefix tp("negative", 1);
+  auto cfg = small_config();
+  lc::LicomModel m(cfg);
+  m.write_restart(tp.prefix);
+  const std::string path = lc::restart_rank_path(tp.prefix, 0);
+  patch_header_shape(path, -cfg.grid.nx, cfg.grid.ny, cfg.grid.nz);
+  expect_shape_rejected(path);
+  patch_header_shape(path, cfg.grid.nx, cfg.grid.ny, 0);
+  expect_shape_rejected(path);
 }
 
 TEST(Restart, StepWallSecondsSurviveRoundTrip) {
