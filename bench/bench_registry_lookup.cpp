@@ -28,7 +28,7 @@ void register_fillers() {
   }
   static const bool reg [[maybe_unused]] = licomk::kxx::detail::register_for<Filler<N>>(
       "filler", kxx::KernelKind::For1D,
-      &licomk::kxx::detail::cpe_entry_for_1d<Filler<N>>);
+      &licomk::kxx::detail::cpe_entry_for<1, Filler<N>>);
 }
 
 struct Tail {

@@ -2,7 +2,9 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <string>
 
+#include "core/column_solve.hpp"
 #include "util/error.hpp"
 
 namespace licomk::core {
@@ -69,9 +71,19 @@ ModelConfig ModelConfig::from_config(const util::Config& cfg) {
   } else {
     throw ConfigError("unknown model.grid: " + base);
   }
-  int factor = static_cast<int>(cfg.get_int_or("model.shrink", 1));
-  if (factor > 1) c.grid = grid::shrink(c.grid, factor);
-  if (cfg.has("model.nz")) c.grid.nz = static_cast<int>(cfg.get_int("model.nz"));
+  const long long factor = cfg.get_int_or("model.shrink", 1);
+  if (factor < 1) {
+    throw ConfigError("model.shrink must be >= 1, got " + std::to_string(factor));
+  }
+  if (factor > 1) c.grid = grid::shrink(c.grid, static_cast<int>(factor));
+  if (cfg.has("model.nz")) {
+    const long long nz = cfg.get_int("model.nz");
+    if (nz < 1 || nz > kMaxLevels) {
+      throw ConfigError("model.nz must be in [1, " + std::to_string(kMaxLevels) + "], got " +
+                        std::to_string(nz));
+    }
+    c.grid.nz = static_cast<int>(nz);
+  }
 
   std::string vmix = cfg.get_string_or("model.vmix", "canuto");
   if (vmix == "canuto") {
@@ -98,6 +110,12 @@ ModelConfig ModelConfig::from_config(const util::Config& cfg) {
   c.horizontal_diffusivity = cfg.get_double_or("model.horizontal_diffusivity", 0.0);
   c.asselin_coeff = cfg.get_double_or("model.asselin_coeff", 0.1);
   c.restore_timescale_days = cfg.get_double_or("model.restore_days", 30.0);
+  // The restoring rate is 1/(days·86400): zero gives inf, a negative value
+  // anti-restores, NaN poisons the top cell.
+  if (!(c.restore_timescale_days > 0.0)) {
+    throw ConfigError("model.restore_days must be > 0, got " +
+                      std::to_string(c.restore_timescale_days));
+  }
   c.bathymetry_seed = static_cast<unsigned>(cfg.get_int_or("model.seed", 42));
   std::string halo = cfg.get_string_or("model.halo3d", "transpose");
   if (halo == "transpose") {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <thread>
 
 #include "kxx/thread_pool.hpp"
@@ -38,6 +40,31 @@ RuntimeState& state() {
   static RuntimeState s;
   return s;
 }
+
+/// Environment variable `name` parsed as one whole non-negative integer
+/// token, or `fallback` when unset; anything else throws naming the variable.
+int env_count_or(const char* name, int fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) return fallback;
+  const char* end = v + std::strlen(v);
+  int n = 0;
+  auto [ptr, ec] = std::from_chars(v, end, n);
+  if (ec != std::errc{} || ptr != end || n < 0) {
+    throw InvalidArgument(std::string(name) + "='" + v + "' is not a non-negative integer");
+  }
+  return n;
+}
+
+/// LICOMK_PACK_SIZE if set (it must be an instantiated width), else `fallback`.
+int env_pack_size_or(int fallback) {
+  if (std::getenv("LICOMK_PACK_SIZE") == nullptr) return fallback;
+  int pack = env_count_or("LICOMK_PACK_SIZE", fallback);
+  if (pack != 1 && pack != 4 && pack != 8) {
+    throw InvalidArgument("LICOMK_PACK_SIZE=" + std::to_string(pack) +
+                          " is not an instantiated pack width (1, 4, 8)");
+  }
+  return pack;
+}
 }  // namespace
 
 void initialize(const InitConfig& config) {
@@ -49,8 +76,7 @@ void initialize(const InitConfig& config) {
   // config_from_env — the pack-width sweep (ci/halo_matrix.sh) and ad-hoc
   // runs must be able to override binaries that initialize with a literal
   // InitConfig (quickstart, benches). Invalid widths fail fast either way.
-  int pack = config.pack_size;
-  if (const char* p = std::getenv("LICOMK_PACK_SIZE")) pack = std::atoi(p);
+  int pack = env_pack_size_or(config.pack_size);
   require_valid_pack_size(pack);
   s.pack = pack;
   int hw = static_cast<int>(std::thread::hardware_concurrency());
@@ -133,17 +159,22 @@ Backend backend_from_name(const std::string& name) {
 
 InitConfig config_from_env(InitConfig defaults) {
   if (const char* b = std::getenv("LICOMK_BACKEND")) defaults.backend = backend_from_name(b);
-  if (const char* t = std::getenv("LICOMK_NUM_THREADS")) defaults.num_threads = std::atoi(t);
+  defaults.num_threads = env_count_or("LICOMK_NUM_THREADS", defaults.num_threads);
   if (const char* s = std::getenv("LICOMK_ATHREAD_STRICT")) {
-    defaults.athread_strict = std::string(s) == "1" || std::string(s) == "on";
+    const std::string v(s);
+    if (v == "1" || v == "on" || v == "true") {
+      defaults.athread_strict = true;
+    } else if (v == "0" || v == "off" || v == "false") {
+      defaults.athread_strict = false;
+    } else {
+      throw InvalidArgument("LICOMK_ATHREAD_STRICT='" + v +
+                            "' is not a flag (0/1/on/off/true/false)");
+    }
   }
   if (const char* m = std::getenv("LICOMK_LDM_STAGING")) {
     defaults.ldm_staging = ldm_staging_mode_from_name(m);
   }
-  if (const char* p = std::getenv("LICOMK_PACK_SIZE")) {
-    defaults.pack_size = std::atoi(p);
-    require_valid_pack_size(defaults.pack_size);
-  }
+  defaults.pack_size = env_pack_size_or(defaults.pack_size);
   return defaults;
 }
 

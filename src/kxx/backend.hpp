@@ -97,7 +97,9 @@ Backend backend_from_name(const std::string& name);
 /// / LICOMK_LDM_STAGING environment overrides to `defaults`, so a test binary
 /// compiled against one backend can be re-run across all of them (and both
 /// strict modes and all staging modes) from the workflow matrix without
-/// recompiling.
+/// recompiling. Each value must be a whole token (LICOMK_ATHREAD_STRICT:
+/// 0/1/on/off/true/false; counts: a non-negative integer); a malformed one
+/// throws InvalidArgument naming the variable rather than being ignored.
 InitConfig config_from_env(InitConfig defaults = {});
 
 /// Count of AthreadSim dispatches that fell back to MPE execution because the

@@ -57,7 +57,7 @@ inline long long worst_slab_bytes(const CpeLaunch& d, const StagedView& v) {
 }
 
 /// Stages the tiles assigned to the calling CPE for one For3D launch.
-/// Instantiated per functor type from cpe_entry_for_3d.
+/// Instantiated per functor type from the rank-3 cpe_entry_for.
 template <typename Functor>
 class LdmStageRun {
  public:
@@ -245,11 +245,11 @@ class LdmStageRun {
   long long staged_bytes_ = 0;
 };
 
-/// Entry point used by cpe_entry_for_3d for descriptor-carrying functors.
+/// Entry point used by the rank-3 cpe_entry_for for descriptor-carrying functors.
 /// Works on a private functor copy so pointer patching never leaks into the
 /// MPE-side functor other CPEs read.
 template <typename Functor>
-void staged_entry_for_3d(const CpeLaunch& d) {
+void staged_entry_for(const CpeLaunch& d) {
   Functor f = *static_cast<const Functor*>(d.functor);
   AccessSpec spec;
   f.kxx_access(spec);

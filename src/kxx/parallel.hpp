@@ -58,7 +58,11 @@ inline std::pair<long long, long long> chunk_of(long long begin, long long end, 
   return {lo, hi};
 }
 
-template <typename F>
+/// Look F up under `kind` and run its preset function on the CPEs. Returns
+/// false when F is not registered and the caller must run on the MPE
+/// (permissive mode; strict mode throws). `Op` is the reduction op the
+/// dispatch joins with; a functor registered with another op is rejected.
+template <typename F, typename Op = VoidOp>
 bool maybe_athread_for(const std::string& label, KernelKind kind, CpeLaunch& d) {
   FunctorRegistry& reg = FunctorRegistry::instance();
   const RegistryNode* node = reg.lookup(std::type_index(typeid(F)), kind);
@@ -66,6 +70,9 @@ bool maybe_athread_for(const std::string& label, KernelKind kind, CpeLaunch& d) 
     if (athread_strict()) throw KernelNotRegistered(label, kind);
     note_athread_fallback();
     return false;  // caller runs the serial fallback on the MPE
+  }
+  if (node->op_type != std::type_index(typeid(Op))) {
+    throw InvalidArgument("kernel '" + label + "' registered with a different reduction op");
   }
   std::lock_guard<std::mutex> lock(dispatch_mutex());
   swsim::athread_spawn(node->entry, &d);
@@ -100,45 +107,69 @@ class KernelSpan {
   bool active_ = false;
 };
 
-inline long long extent_of(const RangePolicy& p) { return p.end - p.begin; }
-inline long long extent_of(const MDRangePolicy2& p) {
-  return (p.end[0] - p.begin[0]) * (p.end[1] - p.begin[1]);
+template <int R>
+long long extent_of(const MDRangePolicy<R>& p) {
+  long long n = 1;
+  for (int d = 0; d < R; ++d) n *= p.end[d] - p.begin[d];
+  return n;
 }
-inline long long extent_of(const MDRangePolicy3& p) {
-  return (p.end[0] - p.begin[0]) * (p.end[1] - p.begin[1]) * (p.end[2] - p.begin[2]);
+
+/// The loop nest of every host-side dispatch (Serial, each Threads chunk and
+/// the AthreadSim MPE fallback): dimension D runs over [lo, hi), every inner
+/// dimension over its full range, last index fastest; `body` gets R indices.
+template <int D = 0, int R, typename Body, typename... Outer>
+void for_each_index(const MDRangePolicy<R>& p, long long lo, long long hi, const Body& body,
+                    Outer... outer) {
+  for (long long i = lo; i < hi; ++i) {
+    if constexpr (D + 1 == R) {
+      body(outer..., i);
+    } else {
+      for_each_index<D + 1>(p, p.begin[D + 1], p.end[D + 1], body, outer..., i);
+    }
+  }
+}
+
+/// The CPE launch descriptor of a rank-R dispatch. Only rank-3 kernels stage
+/// through LDM, so only they carry the staging mode.
+template <int R>
+CpeLaunch launch_of(const MDRangePolicy<R>& p, const void* functor) {
+  CpeLaunch d;
+  d.functor = functor;
+  d.num_dims = R;
+  for (int dim = 0; dim < R; ++dim) {
+    d.begin[dim] = p.begin[dim];
+    d.end[dim] = p.end[dim];
+    d.tile[dim] = p.tile[dim];
+  }
+  if constexpr (R == 3) d.staging = static_cast<int>(ldm_staging_mode());
+  return d;
 }
 
 }  // namespace detail
 
 /// --- parallel_for ---------------------------------------------------------
 
-template <typename F>
-void parallel_for(const std::string& label, const RangePolicy& p, const F& f) {
+template <typename Policy, typename F, int R = detail::policy_rank<Policy>::value>
+void parallel_for(const std::string& label, const Policy& policy, const F& f) {
+  const auto& p = detail::bounds_of(policy);
   detail::KernelSpan span(label, detail::extent_of(p));
   switch (default_backend()) {
-    case Backend::Serial:
-      for (long long i = p.begin; i < p.end; ++i) f(i);
-      return;
     case Backend::Threads: {
       int nw = num_threads();
       detail::run_pool_exclusive([&](int w) {
-        auto [lo, hi] = detail::chunk_of(p.begin, p.end, w, nw);
-        for (long long i = lo; i < hi; ++i) f(i);
+        auto [lo, hi] = detail::chunk_of(p.begin[0], p.end[0], w, nw);
+        detail::for_each_index(p, lo, hi, f);
       });
       return;
     }
     case Backend::AthreadSim: {
-      detail::CpeLaunch d;
-      d.functor = &f;
-      d.num_dims = 1;
-      d.begin[0] = p.begin;
-      d.end[0] = p.end;
-      d.tile[0] = p.tile;
-      if (!detail::maybe_athread_for<F>(label, KernelKind::For1D, d)) {
-        for (long long i = p.begin; i < p.end; ++i) f(i);
-      }
-      return;
+      detail::CpeLaunch d = detail::launch_of(p, &f);
+      if (detail::maybe_athread_for<F>(label, detail::kind_of<R>(false), d)) return;
+      [[fallthrough]];  // unregistered: the MPE runs the Serial loop
     }
+    case Backend::Serial:
+      detail::for_each_index(p, p.begin[0], p.end[0], f);
+      return;
   }
 }
 
@@ -146,80 +177,6 @@ void parallel_for(const std::string& label, const RangePolicy& p, const F& f) {
 template <typename F>
 void parallel_for(const std::string& label, long long n, const F& f) {
   parallel_for(label, RangePolicy(0, n), f);
-}
-
-template <typename F>
-void parallel_for(const std::string& label, const MDRangePolicy2& p, const F& f) {
-  detail::KernelSpan span(label, detail::extent_of(p));
-  switch (default_backend()) {
-    case Backend::Serial:
-      for (long long i = p.begin[0]; i < p.end[0]; ++i)
-        for (long long j = p.begin[1]; j < p.end[1]; ++j) f(i, j);
-      return;
-    case Backend::Threads: {
-      int nw = num_threads();
-      detail::run_pool_exclusive([&](int w) {
-        auto [lo, hi] = detail::chunk_of(p.begin[0], p.end[0], w, nw);
-        for (long long i = lo; i < hi; ++i)
-          for (long long j = p.begin[1]; j < p.end[1]; ++j) f(i, j);
-      });
-      return;
-    }
-    case Backend::AthreadSim: {
-      detail::CpeLaunch d;
-      d.functor = &f;
-      d.num_dims = 2;
-      for (int dim = 0; dim < 2; ++dim) {
-        d.begin[dim] = p.begin[dim];
-        d.end[dim] = p.end[dim];
-        d.tile[dim] = p.tile[dim];
-      }
-      if (!detail::maybe_athread_for<F>(label, KernelKind::For2D, d)) {
-        for (long long i = p.begin[0]; i < p.end[0]; ++i)
-          for (long long j = p.begin[1]; j < p.end[1]; ++j) f(i, j);
-      }
-      return;
-    }
-  }
-}
-
-template <typename F>
-void parallel_for(const std::string& label, const MDRangePolicy3& p, const F& f) {
-  detail::KernelSpan span(label, detail::extent_of(p));
-  switch (default_backend()) {
-    case Backend::Serial:
-      for (long long i = p.begin[0]; i < p.end[0]; ++i)
-        for (long long j = p.begin[1]; j < p.end[1]; ++j)
-          for (long long k = p.begin[2]; k < p.end[2]; ++k) f(i, j, k);
-      return;
-    case Backend::Threads: {
-      int nw = num_threads();
-      detail::run_pool_exclusive([&](int w) {
-        auto [lo, hi] = detail::chunk_of(p.begin[0], p.end[0], w, nw);
-        for (long long i = lo; i < hi; ++i)
-          for (long long j = p.begin[1]; j < p.end[1]; ++j)
-            for (long long k = p.begin[2]; k < p.end[2]; ++k) f(i, j, k);
-      });
-      return;
-    }
-    case Backend::AthreadSim: {
-      detail::CpeLaunch d;
-      d.functor = &f;
-      d.num_dims = 3;
-      for (int dim = 0; dim < 3; ++dim) {
-        d.begin[dim] = p.begin[dim];
-        d.end[dim] = p.end[dim];
-        d.tile[dim] = p.tile[dim];
-      }
-      d.staging = static_cast<int>(ldm_staging_mode());
-      if (!detail::maybe_athread_for<F>(label, KernelKind::For3D, d)) {
-        for (long long i = p.begin[0]; i < p.end[0]; ++i)
-          for (long long j = p.begin[1]; j < p.end[1]; ++j)
-            for (long long k = p.begin[2]; k < p.end[2]; ++k) f(i, j, k);
-      }
-      return;
-    }
-  }
 }
 
 /// --- parallel_for_packed ---------------------------------------------------
@@ -241,18 +198,17 @@ void parallel_for(const std::string& label, const MDRangePolicy3& p, const F& f)
 
 namespace detail {
 
-template <typename F, typename = void>
-struct has_pack_op_2d : std::false_type {};
-template <typename F>
-struct has_pack_op_2d<F, std::void_t<decltype(std::declval<const F&>().template pack_op<4>(
-                             0LL, 0LL, std::declval<const Mask<4>&>()))>> : std::true_type {};
-
-template <typename F, typename = void>
-struct has_pack_op_3d : std::false_type {};
-template <typename F>
-struct has_pack_op_3d<F, std::void_t<decltype(std::declval<const F&>().template pack_op<4>(
-                             0LL, 0LL, 0LL, std::declval<const Mask<4>&>()))>>
+/// True when F has the packed form of its rank-R operator():
+/// `pack_op<N>(R indices, mask)`, the last index being the pack's first i.
+template <typename F, typename Indices, typename = void>
+struct has_pack_op_impl : std::false_type {};
+template <typename F, std::size_t... Is>
+struct has_pack_op_impl<F, std::index_sequence<Is...>,
+                        std::void_t<decltype(std::declval<const F&>().template pack_op<4>(
+                            (static_cast<void>(Is), 0LL)..., std::declval<const Mask<4>&>()))>>
     : std::true_type {};
+template <typename F, int R>
+inline constexpr bool has_pack_op = has_pack_op_impl<F, std::make_index_sequence<R>>::value;
 
 /// Per-worker lane bookkeeping, merged into the process counters once per
 /// dispatch (not per pack — the counters are shared atomics).
@@ -265,36 +221,35 @@ struct LaneCount {
   }
 };
 
-template <int N, typename F>
-void packed_rows_2d(const MDRangePolicy2& p, const LevelsRef& kmt, const F& f,
-                    long long j_lo, long long j_hi, LaneCount& lanes) {
-  for (long long j = j_lo; j < j_hi; ++j) {
-    for (long long i0 = p.begin[1]; i0 < p.end[1]; i0 += N) {
+/// Packed rows of dim0 slice [lo, hi): the innermost (i) dimension goes
+/// N lanes at a time, and lane l of the pack at i0 is live iff i0 + l is in
+/// range and, with a LevelsRef, k < kmt(j, i) — at rank 2 the level is
+/// k = 0, so the mask there is kmt(j, i) > 0.
+template <int N, int R, typename F>
+void packed_rows(const MDRangePolicy<R>& p, const LevelsRef& kmt, const F& f, long long lo,
+                 long long hi, LaneCount& lanes) {
+  static_assert(R == 2 || R == 3, "packed dispatch covers 2-D columns and 3-D fields");
+  constexpr int di = R - 1;
+  auto row = [&](long long k, long long j) {
+    for (long long i0 = p.begin[di]; i0 < p.end[di]; i0 += N) {
       Mask<N> m;
       for (int l = 0; l < N; ++l) {
         long long i = i0 + l;
-        m.m[l] = i < p.end[1] && (!kmt.valid() || kmt(j, i) > 0);
+        m.m[l] = i < p.end[di] && (!kmt.valid() || k < kmt(j, i));
       }
       lanes.note(N, m.count());
-      f.template pack_op<N>(j, i0, m);
-    }
-  }
-}
-
-template <int N, typename F>
-void packed_rows_3d(const MDRangePolicy3& p, const LevelsRef& kmt, const F& f,
-                    long long k_lo, long long k_hi, LaneCount& lanes) {
-  for (long long k = k_lo; k < k_hi; ++k) {
-    for (long long j = p.begin[1]; j < p.end[1]; ++j) {
-      for (long long i0 = p.begin[2]; i0 < p.end[2]; i0 += N) {
-        Mask<N> m;
-        for (int l = 0; l < N; ++l) {
-          long long i = i0 + l;
-          m.m[l] = i < p.end[2] && (!kmt.valid() || k < kmt(j, i));
-        }
-        lanes.note(N, m.count());
+      if constexpr (R == 3) {
         f.template pack_op<N>(k, j, i0, m);
+      } else {
+        f.template pack_op<N>(j, i0, m);
       }
+    }
+  };
+  for (long long o = lo; o < hi; ++o) {
+    if constexpr (R == 3) {
+      for (long long j = p.begin[1]; j < p.end[1]; ++j) row(o, j);
+    } else {
+      row(0, o);
     }
   }
 }
@@ -325,18 +280,18 @@ void run_packed(long long begin0, long long end0, Rows&& rows) {
 
 }  // namespace detail
 
-template <typename F>
-void parallel_for_packed(const std::string& label, const MDRangePolicy2& p,
+template <int R, typename F>
+void parallel_for_packed(const std::string& label, const MDRangePolicy<R>& p,
                          const LevelsRef& kmt, const F& f) {
   const int ps = pack_size();
-  if constexpr (detail::has_pack_op_2d<F>::value) {
+  if constexpr (detail::has_pack_op<F, R>) {
     if (default_backend() != Backend::AthreadSim && ps > 1) {
       detail::KernelSpan span(label, detail::extent_of(p));
       auto dispatch = [&](auto width) {
         constexpr int N = decltype(width)::value;
         detail::run_packed(p.begin[0], p.end[0],
                            [&](long long lo, long long hi, detail::LaneCount& lanes) {
-                             detail::packed_rows_2d<N>(p, kmt, f, lo, hi, lanes);
+                             detail::packed_rows<N>(p, kmt, f, lo, hi, lanes);
                            });
       };
       if (ps == 8) {
@@ -350,172 +305,77 @@ void parallel_for_packed(const std::string& label, const MDRangePolicy2& p,
   parallel_for(label, p, f);  // scalar lowering (Serial/Threads/AthreadSim)
 }
 
-template <typename F>
-void parallel_for_packed(const std::string& label, const MDRangePolicy2& p, const F& f) {
-  parallel_for_packed(label, p, LevelsRef{}, f);
-}
-
-template <typename F>
-void parallel_for_packed(const std::string& label, const MDRangePolicy3& p,
-                         const LevelsRef& kmt, const F& f) {
-  const int ps = pack_size();
-  if constexpr (detail::has_pack_op_3d<F>::value) {
-    if (default_backend() != Backend::AthreadSim && ps > 1) {
-      detail::KernelSpan span(label, detail::extent_of(p));
-      auto dispatch = [&](auto width) {
-        constexpr int N = decltype(width)::value;
-        detail::run_packed(p.begin[0], p.end[0],
-                           [&](long long lo, long long hi, detail::LaneCount& lanes) {
-                             detail::packed_rows_3d<N>(p, kmt, f, lo, hi, lanes);
-                           });
-      };
-      if (ps == 8) {
-        dispatch(std::integral_constant<int, 8>{});
-      } else {
-        dispatch(std::integral_constant<int, 4>{});
-      }
-      return;
-    }
-  }
-  parallel_for(label, p, f);
-}
-
-template <typename F>
-void parallel_for_packed(const std::string& label, const MDRangePolicy3& p, const F& f) {
+template <int R, typename F>
+void parallel_for_packed(const std::string& label, const MDRangePolicy<R>& p, const F& f) {
   parallel_for_packed(label, p, LevelsRef{}, f);
 }
 
 /// --- parallel_reduce -------------------------------------------------------
+//
+// Partials join in a fixed order for reproducibility: per Threads worker, or
+// per CPE on AthreadSim, each in index order.
 
-namespace detail {
-
-template <typename F, typename Reducer, typename Invoke>
-void reduce_dispatch(const std::string& label, KernelKind kind, CpeLaunch& d,
-                     const Reducer& reducer, long long begin0, long long end0,
-                     Invoke&& serial_over_dim0) {
+template <typename Policy, typename F, typename Reducer,
+          int R = detail::policy_rank<Policy>::value>
+void parallel_reduce(const std::string& label, const Policy& policy, const F& f,
+                     const Reducer& reducer) {
   using Op = typename Reducer::op;
   using T = typename Reducer::value_type;
+  const auto& p = detail::bounds_of(policy);
+  detail::KernelSpan span(label, detail::extent_of(p));
+  auto accumulate = [&](long long lo, long long hi, T& acc) {
+    detail::for_each_index(p, lo, hi, [&](auto... i) { f(i..., acc); });
+  };
+  auto join = [](const std::vector<T>& partials) {
+    T acc = Op::identity();
+    for (const T& part : partials) Op::join(acc, part);
+    return acc;
+  };
   switch (default_backend()) {
-    case Backend::Serial: {
-      T acc = Op::identity();
-      serial_over_dim0(begin0, end0, acc);
-      reducer.result = acc;
-      return;
-    }
     case Backend::Threads: {
       int nw = num_threads();
       std::vector<T> partials(static_cast<size_t>(nw), Op::identity());
-      run_pool_exclusive([&](int w) {
-        auto [lo, hi] = chunk_of(begin0, end0, w, nw);
-        serial_over_dim0(lo, hi, partials[static_cast<size_t>(w)]);
+      detail::run_pool_exclusive([&](int w) {
+        auto [lo, hi] = detail::chunk_of(p.begin[0], p.end[0], w, nw);
+        accumulate(lo, hi, partials[static_cast<size_t>(w)]);
       });
-      T acc = Op::identity();
-      for (const T& part : partials) Op::join(acc, part);
-      reducer.result = acc;
+      reducer.result = join(partials);
       return;
     }
     case Backend::AthreadSim: {
       std::vector<T> partials(static_cast<size_t>(swsim::CoreGroup::kNumCpes), Op::identity());
+      detail::CpeLaunch d = detail::launch_of(p, &f);
       d.partials = partials.data();
-      FunctorRegistry& reg = FunctorRegistry::instance();
-      const RegistryNode* node = reg.lookup(std::type_index(typeid(F)), kind);
-      if (node == nullptr) {
-        if (athread_strict()) throw KernelNotRegistered(label, kind);
-        note_athread_fallback();
-        T acc = Op::identity();
-        serial_over_dim0(begin0, end0, acc);
-        reducer.result = acc;
+      if (detail::maybe_athread_for<F, Op>(label, detail::kind_of<R>(true), d)) {
+        reducer.result = join(partials);
         return;
       }
-      if (node->op_type != std::type_index(typeid(Op))) {
-        throw InvalidArgument("kernel '" + label + "' registered with a different reduction op");
-      }
-      {
-        std::lock_guard<std::mutex> lock(dispatch_mutex());
-        swsim::athread_spawn(node->entry, &d);
-        swsim::athread_join();
-      }
+      [[fallthrough]];  // unregistered: the MPE runs the Serial loop
+    }
+    case Backend::Serial: {
       T acc = Op::identity();
-      for (const T& part : partials) Op::join(acc, part);
+      accumulate(p.begin[0], p.end[0], acc);
       reducer.result = acc;
       return;
     }
   }
 }
 
-}  // namespace detail
-
-template <typename F, typename Reducer>
-void parallel_reduce(const std::string& label, const RangePolicy& p, const F& f,
-                     const Reducer& reducer) {
-  detail::KernelSpan span(label, detail::extent_of(p));
-  detail::CpeLaunch d;
-  d.functor = &f;
-  d.num_dims = 1;
-  d.begin[0] = p.begin;
-  d.end[0] = p.end;
-  d.tile[0] = p.tile;
-  detail::reduce_dispatch<F>(label, KernelKind::Reduce1D, d, reducer, p.begin, p.end,
-                             [&](long long lo, long long hi, auto& acc) {
-                               for (long long i = lo; i < hi; ++i) f(i, acc);
-                             });
-}
-
-/// Convenience: reduce over [0, n) with Sum semantics via any reducer.
+/// Convenience: reduce over [0, n).
 template <typename F, typename Reducer>
 void parallel_reduce(const std::string& label, long long n, const F& f, const Reducer& reducer) {
   parallel_reduce(label, RangePolicy(0, n), f, reducer);
 }
 
-template <typename F, typename Reducer>
-void parallel_reduce(const std::string& label, const MDRangePolicy2& p, const F& f,
-                     const Reducer& reducer) {
-  detail::KernelSpan span(label, detail::extent_of(p));
-  detail::CpeLaunch d;
-  d.functor = &f;
-  d.num_dims = 2;
-  for (int dim = 0; dim < 2; ++dim) {
-    d.begin[dim] = p.begin[dim];
-    d.end[dim] = p.end[dim];
-    d.tile[dim] = p.tile[dim];
-  }
-  detail::reduce_dispatch<F>(label, KernelKind::Reduce2D, d, reducer, p.begin[0], p.end[0],
-                             [&](long long lo, long long hi, auto& acc) {
-                               for (long long i = lo; i < hi; ++i)
-                                 for (long long j = p.begin[1]; j < p.end[1]; ++j) f(i, j, acc);
-                             });
-}
-
-template <typename F, typename Reducer>
-void parallel_reduce(const std::string& label, const MDRangePolicy3& p, const F& f,
-                     const Reducer& reducer) {
-  detail::KernelSpan span(label, detail::extent_of(p));
-  detail::CpeLaunch d;
-  d.functor = &f;
-  d.num_dims = 3;
-  for (int dim = 0; dim < 3; ++dim) {
-    d.begin[dim] = p.begin[dim];
-    d.end[dim] = p.end[dim];
-    d.tile[dim] = p.tile[dim];
-  }
-  detail::reduce_dispatch<F>(label, KernelKind::Reduce3D, d, reducer, p.begin[0], p.end[0],
-                             [&](long long lo, long long hi, auto& acc) {
-                               for (long long i = lo; i < hi; ++i)
-                                 for (long long j = p.begin[1]; j < p.end[1]; ++j)
-                                   for (long long k = p.begin[2]; k < p.end[2]; ++k)
-                                     f(i, j, k, acc);
-                             });
-}
-
 /// --- parallel_scan ---------------------------------------------------------
 
-/// Inclusive prefix scan of f's contributions: f(i, update, final) is called
-/// twice per element (Kokkos semantics) — first pass accumulates, second pass
-/// (final == true) observes the running prefix. Runs serially on every
+/// Inclusive prefix scan of f's contributions: one pass in index order calls
+/// f(i, update, true) once per element, so f adds its contribution to the
+/// running prefix and observes it in the same call. Runs serially on every
 /// backend (scan is not on the model's hot path; documented limitation).
 template <typename F, typename T>
 void parallel_scan(const std::string& label, const RangePolicy& p, const F& f, T& total) {
-  detail::KernelSpan span(label, detail::extent_of(p));
+  detail::KernelSpan span(label, detail::extent_of(detail::bounds_of(p)));
   T update = T{};
   for (long long i = p.begin; i < p.end; ++i) f(i, update, true);
   total = update;

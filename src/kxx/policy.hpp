@@ -1,13 +1,15 @@
 // policy.hpp — execution policies (iteration spaces) for kxx dispatches.
 //
-// RangePolicy is a 1-D half-open index range; MDRangePolicy{2,3} are
-// multi-dimensional ranges with per-dimension tile lengths. Tile lengths feed
-// the paper's CPE work-distribution formulas (Eq. 1 and Eq. 2 in §V-B): the
-// iteration space is cut into ceil(len/tile) tiles per dimension and tiles are
-// dealt out to the 64 CPEs as evenly as possible.
+// RangePolicy is a 1-D half-open index range; MDRangePolicy<R> is an R-D
+// range with per-dimension tile lengths (MDRangePolicy2/3 name the ranks the
+// model uses). Tile lengths feed the paper's CPE work-distribution formulas
+// (Eq. 1 and Eq. 2 in §V-B): the iteration space is cut into
+// ceil(len/tile) tiles per dimension and tiles are dealt out to the 64 CPEs
+// as evenly as possible.
 #pragma once
 
 #include <array>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -27,40 +29,71 @@ struct RangePolicy {
   long long length() const { return end - begin; }
 };
 
-/// 2-D range; functor signature is f(i0, i1) with i1 fastest.
-struct MDRangePolicy2 {
-  std::array<long long, 2> begin{0, 0};
-  std::array<long long, 2> end{0, 0};
-  std::array<long long, 2> tile{4, 64};
+/// R-D range; the functor signature is f(i0, ..., i{R-1}) with the last index
+/// fastest.
+template <int R>
+struct MDRangePolicy {
+  static_assert(R >= 1 && R <= 3, "kxx policies have rank 1, 2 or 3");
+  using Index = std::array<long long, R>;
 
-  MDRangePolicy2() = default;
-  MDRangePolicy2(std::array<long long, 2> b, std::array<long long, 2> e,
-                 std::array<long long, 2> t = {4, 64})
-      : begin(b), end(e), tile(t) {
-    for (int d = 0; d < 2; ++d) {
-      LICOMK_REQUIRE(end[d] >= begin[d], "MDRangePolicy2 end < begin");
-      LICOMK_REQUIRE(tile[d] > 0, "MDRangePolicy2 tile must be positive");
+  static constexpr Index default_tile() {
+    if constexpr (R == 1) {
+      return {256};
+    } else if constexpr (R == 2) {
+      return {4, 64};
+    } else {
+      return {2, 4, 64};
+    }
+  }
+
+  Index begin{};
+  Index end{};
+  Index tile = default_tile();
+
+  MDRangePolicy() = default;
+  MDRangePolicy(Index b, Index e, Index t = default_tile()) : begin(b), end(e), tile(t) {
+    for (int d = 0; d < R; ++d) {
+      LICOMK_REQUIRE(end[d] >= begin[d], "MDRangePolicy" + std::to_string(R) + " end < begin");
+      LICOMK_REQUIRE(tile[d] > 0,
+                     "MDRangePolicy" + std::to_string(R) + " tile must be positive");
     }
   }
   long long length(int d) const { return end[d] - begin[d]; }
 };
 
-/// 3-D range; functor signature is f(i0, i1, i2) with i2 fastest.
-struct MDRangePolicy3 {
-  std::array<long long, 3> begin{0, 0, 0};
-  std::array<long long, 3> end{0, 0, 0};
-  std::array<long long, 3> tile{2, 4, 64};
+using MDRangePolicy2 = MDRangePolicy<2>;
+using MDRangePolicy3 = MDRangePolicy<3>;
 
-  MDRangePolicy3() = default;
-  MDRangePolicy3(std::array<long long, 3> b, std::array<long long, 3> e,
-                 std::array<long long, 3> t = {2, 4, 64})
-      : begin(b), end(e), tile(t) {
-    for (int d = 0; d < 3; ++d) {
-      LICOMK_REQUIRE(end[d] >= begin[d], "MDRangePolicy3 end < begin");
-      LICOMK_REQUIRE(tile[d] > 0, "MDRangePolicy3 tile must be positive");
-    }
-  }
-  long long length(int d) const { return end[d] - begin[d]; }
+namespace detail {
+
+/// The one bounds helper every dispatch reads a policy through: a RangePolicy
+/// becomes the equivalent rank-1 MDRangePolicy, an MDRangePolicy is itself.
+inline MDRangePolicy<1> bounds_of(const RangePolicy& p) {
+  MDRangePolicy<1> b;
+  b.begin = {p.begin};
+  b.end = {p.end};
+  b.tile = {p.tile};
+  return b;
+}
+template <int R>
+const MDRangePolicy<R>& bounds_of(const MDRangePolicy<R>& p) {
+  return p;
+}
+
+/// Rank of a dispatchable policy type; no `value` for anything else, so the
+/// generic dispatch templates drop out of overload resolution for TeamPolicy
+/// and for the (label, n, f) conveniences.
+template <typename Policy>
+struct policy_rank {};
+template <>
+struct policy_rank<RangePolicy> {
+  static constexpr int value = 1;
 };
+template <int R>
+struct policy_rank<MDRangePolicy<R>> {
+  static constexpr int value = R;
+};
+
+}  // namespace detail
 
 }  // namespace licomk::kxx

@@ -108,91 +108,60 @@ class FunctorRegistry {
   std::unordered_map<Key, RegistryNode*, KeyHash> hashed_;
 };
 
+/// Kind under which a rank-R policy's functors register and are looked up.
+template <int R>
+constexpr KernelKind kind_of(bool reduce) {
+  static_assert(R >= 1 && R <= 3, "kxx policies have rank 1, 2 or 3");
+  constexpr KernelKind fors[] = {KernelKind::For1D, KernelKind::For2D, KernelKind::For3D};
+  constexpr KernelKind reduces[] = {KernelKind::Reduce1D, KernelKind::Reduce2D,
+                                    KernelKind::Reduce3D};
+  return reduce ? reduces[R - 1] : fors[R - 1];
+}
+
 /// --- Preset functions (instantiated per functor at registration) ---------
 /// (CpeLaunch, TileAssignment, assign_tiles and for_each_index_in_tile live
-/// in launch.hpp; the LDM staging engine the 3-D entry dispatches to lives in
-/// ldm_stage.hpp.)
+/// in launch.hpp; the LDM staging engine the rank-3 entry dispatches to lives
+/// in ldm_stage.hpp.)
 
-template <typename Functor>
-void cpe_entry_for_1d(void* argp) {
-  const auto* d = static_cast<const CpeLaunch*>(argp);
-  const auto& f = *static_cast<const Functor*>(d->functor);
-  const int cpe = swsim::this_cpe()->id();
-  TileAssignment a = assign_tiles(*d, cpe, swsim::CoreGroup::kNumCpes);
+/// Run `body` over every index of the tiles Eq. (1)/(2) deal to the calling
+/// CPE, passing the first R indices of each tile index triple.
+template <int R, typename Body>
+void for_each_cpe_index(const CpeLaunch& d, int cpe, const Body& body) {
+  TileAssignment a = assign_tiles(d, cpe, swsim::CoreGroup::kNumCpes);
   for (long long t = a.first_tile; t < a.last_tile; ++t) {
-    for_each_index_in_tile(*d, a, t, [&](long long i0, long long, long long) { f(i0); });
+    for_each_index_in_tile(d, a, t, [&](long long i0, long long i1, long long i2) {
+      if constexpr (R == 1) {
+        body(i0);
+      } else if constexpr (R == 2) {
+        body(i0, i1);
+      } else {
+        body(i0, i1, i2);
+      }
+    });
   }
 }
 
-template <typename Functor>
-void cpe_entry_for_2d(void* argp) {
+template <int R, typename Functor>
+void cpe_entry_for(void* argp) {
   const auto* d = static_cast<const CpeLaunch*>(argp);
-  const auto& f = *static_cast<const Functor*>(d->functor);
-  const int cpe = swsim::this_cpe()->id();
-  TileAssignment a = assign_tiles(*d, cpe, swsim::CoreGroup::kNumCpes);
-  for (long long t = a.first_tile; t < a.last_tile; ++t) {
-    for_each_index_in_tile(*d, a, t, [&](long long i0, long long i1, long long) { f(i0, i1); });
-  }
-}
-
-template <typename Functor>
-void cpe_entry_for_3d(void* argp) {
-  const auto* d = static_cast<const CpeLaunch*>(argp);
-  if constexpr (has_ldm_access<Functor>::value) {
+  if constexpr (R == 3 && has_ldm_access<Functor>::value) {
     // Descriptor-carrying functor: route through the LDM staging engine
     // (which itself falls back to direct indexing when staging is off or the
     // footprint does not fit).
-    staged_entry_for_3d<Functor>(*d);
-    return;
+    staged_entry_for<Functor>(*d);
   } else {
     const auto& f = *static_cast<const Functor*>(d->functor);
-    const int cpe = swsim::this_cpe()->id();
-    TileAssignment a = assign_tiles(*d, cpe, swsim::CoreGroup::kNumCpes);
-    for (long long t = a.first_tile; t < a.last_tile; ++t) {
-      for_each_index_in_tile(*d, a, t,
-                             [&](long long i0, long long i1, long long i2) { f(i0, i1, i2); });
-    }
+    for_each_cpe_index<R>(*d, swsim::this_cpe()->id(), f);
   }
 }
 
-template <typename Functor, typename Op>
-void cpe_entry_reduce_1d(void* argp) {
+template <int R, typename Functor, typename Op>
+void cpe_entry_reduce(void* argp) {
   const auto* d = static_cast<const CpeLaunch*>(argp);
   const auto& f = *static_cast<const Functor*>(d->functor);
   const int cpe = swsim::this_cpe()->id();
-  TileAssignment a = assign_tiles(*d, cpe, swsim::CoreGroup::kNumCpes);
   typename Op::value_type local = Op::identity();
-  for (long long t = a.first_tile; t < a.last_tile; ++t) {
-    for_each_index_in_tile(*d, a, t, [&](long long i0, long long, long long) { f(i0, local); });
-  }
-  static_cast<typename Op::value_type*>(d->partials)[cpe] = local;
-}
-
-template <typename Functor, typename Op>
-void cpe_entry_reduce_2d(void* argp) {
-  const auto* d = static_cast<const CpeLaunch*>(argp);
-  const auto& f = *static_cast<const Functor*>(d->functor);
-  const int cpe = swsim::this_cpe()->id();
-  TileAssignment a = assign_tiles(*d, cpe, swsim::CoreGroup::kNumCpes);
-  typename Op::value_type local = Op::identity();
-  for (long long t = a.first_tile; t < a.last_tile; ++t) {
-    for_each_index_in_tile(*d, a, t,
-                           [&](long long i0, long long i1, long long) { f(i0, i1, local); });
-  }
-  static_cast<typename Op::value_type*>(d->partials)[cpe] = local;
-}
-
-template <typename Functor, typename Op>
-void cpe_entry_reduce_3d(void* argp) {
-  const auto* d = static_cast<const CpeLaunch*>(argp);
-  const auto& f = *static_cast<const Functor*>(d->functor);
-  const int cpe = swsim::this_cpe()->id();
-  TileAssignment a = assign_tiles(*d, cpe, swsim::CoreGroup::kNumCpes);
-  typename Op::value_type local = Op::identity();
-  for (long long t = a.first_tile; t < a.last_tile; ++t) {
-    for_each_index_in_tile(
-        *d, a, t, [&](long long i0, long long i1, long long i2) { f(i0, i1, i2, local); });
-  }
+  for_each_cpe_index<R>(*d, cpe, [&](auto... i) { f(i..., local); });
   static_cast<typename Op::value_type*>(d->partials)[cpe] = local;
 }
 
@@ -218,40 +187,27 @@ bool register_reduce(const char* name, KernelKind kind, swsim::CpeKernel entry) 
 /// Register `Functor` (second argument, may contain commas via __VA_ARGS__)
 /// for 1-D parallel_for dispatch on the Athread backend under `name`.
 /// Mirrors the paper's KOKKOS_REGISTER_FOR_1D(Arg1, Arg2) macro (Code 1).
-#define KXX_REGISTER_FOR_1D(name, ...)                                                 \
-  static const bool kxx_registered_for1d_##name [[maybe_unused]] =                     \
-      ::licomk::kxx::detail::register_for<__VA_ARGS__>(                                \
-          #name, ::licomk::kxx::KernelKind::For1D,                                     \
-          &::licomk::kxx::detail::cpe_entry_for_1d<__VA_ARGS__>)
+#define KXX_REGISTER_FOR_1D(name, ...) KXX_DETAIL_REGISTER_FOR(for1d_##name, #name, 1, __VA_ARGS__)
+#define KXX_REGISTER_FOR_2D(name, ...) KXX_DETAIL_REGISTER_FOR(for2d_##name, #name, 2, __VA_ARGS__)
+#define KXX_REGISTER_FOR_3D(name, ...) KXX_DETAIL_REGISTER_FOR(for3d_##name, #name, 3, __VA_ARGS__)
 
-#define KXX_REGISTER_FOR_2D(name, ...)                                                 \
-  static const bool kxx_registered_for2d_##name [[maybe_unused]] =                     \
-      ::licomk::kxx::detail::register_for<__VA_ARGS__>(                                \
-          #name, ::licomk::kxx::KernelKind::For2D,                                     \
-          &::licomk::kxx::detail::cpe_entry_for_2d<__VA_ARGS__>)
-
-#define KXX_REGISTER_FOR_3D(name, ...)                                                 \
-  static const bool kxx_registered_for3d_##name [[maybe_unused]] =                     \
-      ::licomk::kxx::detail::register_for<__VA_ARGS__>(                                \
-          #name, ::licomk::kxx::KernelKind::For3D,                                     \
-          &::licomk::kxx::detail::cpe_entry_for_3d<__VA_ARGS__>)
-
-/// Register `Functor` for 1-D parallel_reduce with reduction op `Op`
+/// Register `Functor` for parallel_reduce with reduction op `Op`
 /// (e.g. kxx::SumOp<double>).
-#define KXX_REGISTER_REDUCE_1D(name, Functor, Op)                                      \
-  static const bool kxx_registered_red1d_##name [[maybe_unused]] =                     \
-      ::licomk::kxx::detail::register_reduce<Functor, Op>(                             \
-          #name, ::licomk::kxx::KernelKind::Reduce1D,                                  \
-          &::licomk::kxx::detail::cpe_entry_reduce_1d<Functor, Op>)
+#define KXX_REGISTER_REDUCE_1D(name, Functor, Op) \
+  KXX_DETAIL_REGISTER_REDUCE(red1d_##name, #name, 1, Functor, Op)
+#define KXX_REGISTER_REDUCE_2D(name, Functor, Op) \
+  KXX_DETAIL_REGISTER_REDUCE(red2d_##name, #name, 2, Functor, Op)
+#define KXX_REGISTER_REDUCE_3D(name, Functor, Op) \
+  KXX_DETAIL_REGISTER_REDUCE(red3d_##name, #name, 3, Functor, Op)
 
-#define KXX_REGISTER_REDUCE_2D(name, Functor, Op)                                      \
-  static const bool kxx_registered_red2d_##name [[maybe_unused]] =                     \
-      ::licomk::kxx::detail::register_reduce<Functor, Op>(                             \
-          #name, ::licomk::kxx::KernelKind::Reduce2D,                                  \
-          &::licomk::kxx::detail::cpe_entry_reduce_2d<Functor, Op>)
+#define KXX_DETAIL_REGISTER_FOR(var, label, R, ...)                                   \
+  static const bool kxx_registered_##var [[maybe_unused]] =                           \
+      ::licomk::kxx::detail::register_for<__VA_ARGS__>(                               \
+          label, ::licomk::kxx::detail::kind_of<R>(false),                            \
+          &::licomk::kxx::detail::cpe_entry_for<R, __VA_ARGS__>)
 
-#define KXX_REGISTER_REDUCE_3D(name, Functor, Op)                                      \
-  static const bool kxx_registered_red3d_##name [[maybe_unused]] =                     \
-      ::licomk::kxx::detail::register_reduce<Functor, Op>(                             \
-          #name, ::licomk::kxx::KernelKind::Reduce3D,                                  \
-          &::licomk::kxx::detail::cpe_entry_reduce_3d<Functor, Op>)
+#define KXX_DETAIL_REGISTER_REDUCE(var, label, R, Functor, Op)                        \
+  static const bool kxx_registered_##var [[maybe_unused]] =                           \
+      ::licomk::kxx::detail::register_reduce<Functor, Op>(                            \
+          label, ::licomk::kxx::detail::kind_of<R>(true),                             \
+          &::licomk::kxx::detail::cpe_entry_reduce<R, Functor, Op>)

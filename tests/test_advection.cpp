@@ -18,6 +18,7 @@
 #include "core/state.hpp"
 #include "core/tracer.hpp"
 #include "kxx/kxx.hpp"
+#include "kxx_env.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace lc = licomk::core;
@@ -110,7 +111,6 @@ void minmax_tracer(const lc::LocalGrid& g, const lh::BlockField3D& q, double* mn
 }  // namespace
 
 TEST(Advection, ZeroVelocityIsIdentity) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   Fixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LocalGrid g(*fx.global, *fx.dec, 0);
@@ -129,7 +129,6 @@ TEST(Advection, ZeroVelocityIsIdentity) {
 }
 
 TEST(Advection, ConservesTracerVolumeIntegralExactly) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   Fixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LocalGrid g(*fx.global, *fx.dec, 0);
@@ -161,7 +160,6 @@ TEST(Advection, ConservesTracerVolumeIntegralExactly) {
 }
 
 TEST(Advection, UniformTracerStaysUniformUnderDivergentFlow) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   Fixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LocalGrid g(*fx.global, *fx.dec, 0);
@@ -184,7 +182,6 @@ TEST(Advection, UniformTracerStaysUniformUnderDivergentFlow) {
 }
 
 TEST(Advection, NoNewExtremaUnderRandomVelocities) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   Fixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LocalGrid g(*fx.global, *fx.dec, 0);
@@ -213,7 +210,6 @@ TEST(Advection, NoNewExtremaUnderRandomVelocities) {
 }
 
 TEST(Advection, TransportsBlobDownstream) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   Fixture fx(8, 6);
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LocalGrid g(*fx.global, *fx.dec, 0);
@@ -266,7 +262,6 @@ TEST(Advection, TransportsBlobDownstream) {
 }
 
 TEST(Advection, MultiRankMatchesSingleRank) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   // Reference: 1 rank.
   Fixture fx1(8, 6, 1, 1);
   auto spec = fx1.global->spec();
@@ -319,7 +314,6 @@ TEST(Advection, MultiRankMatchesSingleRank) {
 }
 
 TEST(Advection, WFromContinuityClosesColumns) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   Fixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LocalGrid g(*fx.global, *fx.dec, 0);
@@ -349,7 +343,6 @@ TEST(Advection, WFromContinuityClosesColumns) {
 }
 
 TEST(GentMcWilliams, NoBolusFluxForUniformDensity) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   Fixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LocalGrid g(*fx.global, *fx.dec, 0);
@@ -367,7 +360,6 @@ TEST(GentMcWilliams, NoBolusFluxForUniformDensity) {
 }
 
 TEST(GentMcWilliams, BolusOverturningIntegratesToZeroPerFaceColumn) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   Fixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LocalGrid g(*fx.global, *fx.dec, 0);
@@ -411,7 +403,6 @@ TEST(GentMcWilliams, FlattensIsopycnalsAndConserves) {
   // GM transport releases available potential energy: the density center of
   // mass sinks while the tracer inventory is exactly conserved (the bolus
   // velocity rides through the same FCT machinery).
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   Fixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LocalGrid g(*fx.global, *fx.dec, 0);
@@ -461,7 +452,6 @@ TEST(GentMcWilliams, FlattensIsopycnalsAndConserves) {
 }
 
 TEST(Baseline, LegacyRoutineBitIdenticalToKxxPipeline) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   Fixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LocalGrid g(*fx.global, *fx.dec, 0);
@@ -495,7 +485,6 @@ TEST(Baseline, LegacyRoutineBitIdenticalToKxxPipeline) {
 // also two sequential single-tracer advections (per-field q_td exchanges,
 // per-tracer LowOrder predictors), bit for bit.
 TEST(Advection, FusedLowOrderPairBitIdenticalToUnfused) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   Fixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LocalGrid g(*fx.global, *fx.dec, 0);
@@ -543,7 +532,6 @@ TEST(Advection, FusedLowOrderPairBitIdenticalToUnfused) {
 // extents are not multiples of 4 or 8), and anti-diffusive fluxes of both
 // signs including exact zeros (land faces and zeroed velocities).
 TEST(Advection, PackedLimiterMatchesScalar) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   Fixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LocalGrid g(*fx.global, *fx.dec, 0);
@@ -668,7 +656,6 @@ void reference_tracer_column(const lc::LocalGrid& g, const lc::ModelConfig& cfg,
 // reference passes, at pack widths 1, 4 and 8, with solar penetration on and
 // off.
 TEST(TracerColumn, FusedPairMatchesPerTracerPasses) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   Fixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     (void)c;

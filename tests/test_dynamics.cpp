@@ -19,6 +19,7 @@
 #include "core/forcing.hpp"
 #include "core/model.hpp"
 #include "kxx/kxx.hpp"
+#include "kxx_env.hpp"
 
 namespace lc = licomk::core;
 namespace lco = licomk::comm;
@@ -258,7 +259,6 @@ struct ModelFixture {
 }  // namespace
 
 TEST(Dynamics, PressureIsTheHydrostaticIntegralOfDensity) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   ModelFixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LicomModel m(fx.cfg, fx.global, c);
@@ -288,7 +288,6 @@ TEST(Dynamics, PressureIsTheHydrostaticIntegralOfDensity) {
 // rho and pressure (halos and land columns included) must match for every
 // pack width.
 TEST(Dynamics, FusedDensityPressureBitIdentical) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   ModelFixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LicomModel m(fx.cfg, fx.global, c);
@@ -321,7 +320,6 @@ TEST(Dynamics, FusedDensityPressureBitIdentical) {
 // unfused kernels, including the land-corner zero writes and the per-column
 // wind/bottom-drag branches at mid-pack positions.
 TEST(Dynamics, FusedTendencyMeansBitIdentical) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   ModelFixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LicomModel m(fx.cfg, fx.global, c);
@@ -366,7 +364,6 @@ TEST(Dynamics, FusedTendencyMeansBitIdentical) {
 // the corner-averaged kappa_m system) vs the pack-width-1 scalar body: every
 // byte of u_new/v_new and of the Asselin-filtered u_cur/v_cur.
 TEST(Dynamics, PackedBaroclinicColumnBitIdentical) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   ModelFixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LicomModel m(fx.cfg, fx.global, c);
@@ -410,7 +407,6 @@ TEST(Dynamics, PackedBaroclinicColumnBitIdentical) {
 }
 
 TEST(Dynamics, VerticalMeanIsThicknessWeighted) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   ModelFixture fx;
   lco::World world(1);
   lc::LicomModel m(fx.cfg, fx.global, world.communicator(0));
@@ -454,7 +450,6 @@ std::unique_ptr<licomk::halo::PersistentGroup> subcycle_group(lc::LicomModel& m)
 }  // namespace
 
 TEST(Dynamics, BarotropicRestStateStaysAtRest) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   ModelFixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LicomModel m(fx.cfg, fx.global, c);
@@ -478,7 +473,6 @@ TEST(Dynamics, BarotropicRestStateStaysAtRest) {
 }
 
 TEST(Dynamics, BarotropicConservesVolume) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   ModelFixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LicomModel m(fx.cfg, fx.global, c);
@@ -525,7 +519,6 @@ TEST(Dynamics, BarotropicConservesVolume) {
 }
 
 TEST(Dynamics, MomentumTendencyRespondsToWind) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   ModelFixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LicomModel m(fx.cfg, fx.global, c);
@@ -554,7 +547,6 @@ TEST(Dynamics, MomentumTendencyRespondsToWind) {
 }
 
 TEST(Dynamics, BaroclinicRotationPreservesSpeedWithoutForcing) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   ModelFixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LicomModel m(fx.cfg, fx.global, c);
@@ -604,7 +596,6 @@ TEST(Dynamics, BaroclinicRotationPreservesSpeedWithoutForcing) {
 }
 
 TEST(Dynamics, Fp32BarotropicCloseButNotIdentical) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   auto cfg = lc::ModelConfig::testing(8);
   cfg.grid.nz = 8;
   cfg.fp32_barotropic = false;

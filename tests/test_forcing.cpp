@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "core/forcing.hpp"
 #include "core/model_config.hpp"
@@ -122,6 +124,37 @@ TEST(ModelConfig, FromConfigRejectsUnknownEnums) {
                licomk::ConfigError);
   EXPECT_THROW(lc::ModelConfig::from_config(lu::Config::from_string("model.halo3d = diagonal")),
                licomk::ConfigError);
+}
+
+TEST(ModelConfig, FromConfigRejectsNonPhysicalValues) {
+  namespace lu = licomk::util;
+  // Each bad value must fail at parse time with a ConfigError naming its key.
+  const std::pair<const char*, const char*> bad[] = {
+      {"model.restore_days = 0", "model.restore_days"},
+      {"model.restore_days = -5", "model.restore_days"},
+      {"model.shrink = 0", "model.shrink"},
+      {"model.shrink = -3", "model.shrink"},
+      {"model.nz = 0", "model.nz"},
+      {"model.nz = 257", "model.nz"},
+      {"model.nz = -1", "model.nz"},
+  };
+  for (const auto& [text, key] : bad) {
+    SCOPED_TRACE(text);
+    try {
+      lc::ModelConfig::from_config(lu::Config::from_string(text));
+      ADD_FAILURE() << "accepted";
+    } catch (const licomk::ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  }
+  // The boundaries themselves are valid.
+  EXPECT_EQ(lc::ModelConfig::from_config(lu::Config::from_string("model.nz = 1")).grid.nz, 1);
+  EXPECT_EQ(lc::ModelConfig::from_config(lu::Config::from_string("model.nz = 256")).grid.nz, 256);
+  EXPECT_EQ(lc::ModelConfig::from_config(lu::Config::from_string("model.shrink = 1")).grid.nx,
+            lc::ModelConfig::coarse100km().grid.nx);
+  EXPECT_DOUBLE_EQ(lc::ModelConfig::from_config(lu::Config::from_string("model.restore_days = 0.5"))
+                       .restore_timescale_days,
+                   0.5);
 }
 
 TEST(ModelConfig, EffectiveCoefficientsScaleWithResolution) {

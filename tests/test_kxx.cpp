@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "kxx/kxx.hpp"
@@ -396,6 +397,21 @@ TEST(KxxBackends, AllBackendsProduceIdenticalResults) {
 }
 
 namespace {
+struct StencilWrite1D {
+  kxx::View<double, 1> in, out;
+  void operator()(long long i) const {
+    out(static_cast<size_t>(i)) = 2.0 * in(static_cast<size_t>(i)) + static_cast<double>(i);
+  }
+};
+
+struct StencilWrite2D {
+  kxx::View<double, 2> in, out;
+  void operator()(long long j, long long i) const {
+    out(static_cast<size_t>(j), static_cast<size_t>(i)) =
+        2.0 * in(static_cast<size_t>(j), static_cast<size_t>(i)) + static_cast<double>(i - j);
+  }
+};
+
 struct StencilWrite {
   kxx::View<double, 3> in, out;
   void operator()(long long k, long long j, long long i) const {
@@ -404,40 +420,235 @@ struct StencilWrite {
         static_cast<double>(k - j + i);
   }
 };
+
+struct SumIn1D {
+  kxx::View<double, 1> in;
+  void operator()(long long i, double& acc) const { acc += in(static_cast<size_t>(i)); }
+};
+
+struct SumIn2D {
+  kxx::View<double, 2> in;
+  void operator()(long long j, long long i, double& acc) const {
+    acc += in(static_cast<size_t>(j), static_cast<size_t>(i));
+  }
+};
+
+struct SumIn3D {
+  kxx::View<double, 3> in;
+  void operator()(long long k, long long j, long long i, double& acc) const {
+    acc += in(static_cast<size_t>(k), static_cast<size_t>(j), static_cast<size_t>(i));
+  }
+};
+
+/// Dyadic fill (multiples of 1/4 below 25): every partial sum of these values
+/// is exact, so a Sum reduction gives the same bits in any join order and
+/// cross-backend equality tests only the index coverage.
+template <typename V>
+void fill_dyadic(const V& v) {
+  for (size_t n = 0; n < v.size(); ++n) v.data()[n] = 0.25 * static_cast<double>(n % 97);
+}
 }  // namespace
 
+KXX_REGISTER_FOR_1D(test_stencil_write1d, StencilWrite1D);
+KXX_REGISTER_FOR_2D(test_stencil_write2d, StencilWrite2D);
 KXX_REGISTER_FOR_3D(test_stencil_write, StencilWrite);
+KXX_REGISTER_REDUCE_1D(test_sum_in1d, SumIn1D, kxx::SumOp<double>);
+KXX_REGISTER_REDUCE_2D(test_sum_in2d, SumIn2D, kxx::SumOp<double>);
+KXX_REGISTER_REDUCE_3D(test_sum_in3d, SumIn3D, kxx::SumOp<double>);
 
 class BackendSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(BackendSweep, RandomShapesAgreeAcrossBackends) {
-  // Property sweep: pseudo-random iteration shapes and tile sizes must give
-  // identical results on every backend (tile decomposition covers exactly
-  // the policy's index set, no index twice).
+  // Property sweep: pseudo-random iteration shapes and tile sizes at every
+  // policy rank must give identical parallel_for outputs and Sum reductions
+  // on Serial, Threads and strict AthreadSim (tile decomposition covers
+  // exactly the policy's index set, no index twice).
   unsigned seed = static_cast<unsigned>(GetParam());
   auto rnd = [&seed](int lo, int hi) {
     seed = seed * 1664525u + 1013904223u;
     return lo + static_cast<int>(seed % static_cast<unsigned>(hi - lo + 1));
   };
   const int nk = rnd(1, 7), nj = rnd(1, 23), ni = rnd(1, 47);
-  kxx::MDRangePolicy3 policy({0, 0, 0}, {nk, nj, ni},
-                             {rnd(1, 4), rnd(1, 8), rnd(1, 16)});
-  kxx::View<double, 3> in("in", static_cast<size_t>(nk), static_cast<size_t>(nj),
-                          static_cast<size_t>(ni));
-  for (size_t n = 0; n < in.size(); ++n) in.data()[n] = 0.01 * static_cast<double>(n % 97);
+  kxx::MDRangePolicy3 policy3({0, 0, 0}, {nk, nj, ni},
+                              {rnd(1, 4), rnd(1, 8), rnd(1, 16)});
+  const int n2j = rnd(1, 31), n2i = rnd(1, 61);
+  kxx::MDRangePolicy2 policy2({0, 0}, {n2j, n2i}, {rnd(1, 8), rnd(1, 16)});
+  const int n1 = rnd(1, 997);
+  kxx::RangePolicy policy1(0, n1, rnd(1, 64));
+  const auto z = [](int n) { return static_cast<size_t>(n); };
+  kxx::View<double, 1> in1("in1", z(n1));
+  kxx::View<double, 2> in2("in2", z(n2j), z(n2i));
+  kxx::View<double, 3> in3("in3", z(nk), z(nj), z(ni));
+  fill_dyadic(in1);
+  fill_dyadic(in2);
+  fill_dyadic(in3);
 
-  std::vector<std::vector<double>> results;
+  struct Result {
+    std::vector<double> out1, out2, out3;
+    double sum1 = 0.0, sum2 = 0.0, sum3 = 0.0;
+  };
+  std::vector<Result> results;
   for (auto backend :
        {kxx::Backend::Serial, kxx::Backend::Threads, kxx::Backend::AthreadSim}) {
     kxx::initialize({backend, 3, backend == kxx::Backend::AthreadSim});
-    kxx::View<double, 3> out("out", static_cast<size_t>(nk), static_cast<size_t>(nj),
-                             static_cast<size_t>(ni));
-    kxx::parallel_for("stencil", policy, StencilWrite{in, out});
-    results.emplace_back(out.data(), out.data() + out.size());
+    kxx::View<double, 1> out1("out1", z(n1));
+    kxx::View<double, 2> out2("out2", z(n2j), z(n2i));
+    kxx::View<double, 3> out3("out3", z(nk), z(nj), z(ni));
+    kxx::parallel_for("stencil1d", policy1, StencilWrite1D{in1, out1});
+    kxx::parallel_for("stencil2d", policy2, StencilWrite2D{in2, out2});
+    kxx::parallel_for("stencil", policy3, StencilWrite{in3, out3});
+    Result r;
+    kxx::parallel_reduce("sum1d", policy1, SumIn1D{in1}, kxx::Sum<double>(r.sum1));
+    kxx::parallel_reduce("sum2d", policy2, SumIn2D{in2}, kxx::Sum<double>(r.sum2));
+    kxx::parallel_reduce("sum3d", policy3, SumIn3D{in3}, kxx::Sum<double>(r.sum3));
+    r.out1.assign(out1.data(), out1.data() + out1.size());
+    r.out2.assign(out2.data(), out2.data() + out2.size());
+    r.out3.assign(out3.data(), out3.data() + out3.size());
+    results.push_back(std::move(r));
   }
   kxx::set_athread_strict(false);
-  EXPECT_EQ(results[0], results[1]) << "shape " << nk << "x" << nj << "x" << ni;
-  EXPECT_EQ(results[0], results[2]) << "shape " << nk << "x" << nj << "x" << ni;
+  double expect1 = 0.0;
+  for (size_t n = 0; n < in1.size(); ++n) expect1 += in1.data()[n];
+  EXPECT_EQ(results[0].sum1, expect1);
+  for (size_t b = 1; b < results.size(); ++b) {
+    SCOPED_TRACE("backend #" + std::to_string(b) + ", shapes " + std::to_string(n1) + " | " +
+                 std::to_string(n2j) + "x" + std::to_string(n2i) + " | " + std::to_string(nk) +
+                 "x" + std::to_string(nj) + "x" + std::to_string(ni));
+    EXPECT_EQ(results[0].out1, results[b].out1);
+    EXPECT_EQ(results[0].out2, results[b].out2);
+    EXPECT_EQ(results[0].out3, results[b].out3);
+    EXPECT_EQ(results[0].sum1, results[b].sum1);
+    EXPECT_EQ(results[0].sum2, results[b].sum2);
+    EXPECT_EQ(results[0].sum3, results[b].sum3);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, BackendSweep, ::testing::Range(1, 13));
+
+// ---------------------------------------------------------------------------
+// Unregistered functors at every rank and kind: permissive AthreadSim runs
+// them on the MPE (correct result, one fallback counted per dispatch); strict
+// AthreadSim throws KernelNotRegistered naming the kernel kind.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct CountFor1D {
+  kxx::View<double, 1> hits;
+  void operator()(long long i) const { hits(static_cast<size_t>(i)) += 1.0; }
+};
+
+struct CountFor2D {
+  kxx::View<double, 2> hits;
+  void operator()(long long j, long long i) const {
+    hits(static_cast<size_t>(j), static_cast<size_t>(i)) += 1.0;
+  }
+};
+
+struct CountFor3D {
+  kxx::View<double, 3> hits;
+  void operator()(long long k, long long j, long long i) const {
+    hits(static_cast<size_t>(k), static_cast<size_t>(j), static_cast<size_t>(i)) += 1.0;
+  }
+};
+
+struct CountReduce1D {
+  void operator()(long long, double& acc) const { acc += 1.0; }
+};
+
+struct CountReduce2D {
+  void operator()(long long, long long, double& acc) const { acc += 1.0; }
+};
+
+struct CountReduce3D {
+  void operator()(long long, long long, long long, double& acc) const { acc += 1.0; }
+};
+
+template <typename V>
+double total(const V& v) {
+  double s = 0.0;
+  for (size_t n = 0; n < v.size(); ++n) s += v.data()[n];
+  return s;
+}
+
+/// One row of the table: the kind name KernelNotRegistered must carry, the
+/// extent of the dispatch, and a dispatch returning how many index visits it
+/// made (each index must be visited exactly once).
+struct UnregisteredCase {
+  const char* kind;
+  double extent;
+  double (*run)();
+};
+
+const UnregisteredCase kUnregisteredCases[] = {
+    {"For1D", 5.0,
+     [] {
+       kxx::View<double, 1> v("v", 5);
+       kxx::parallel_for("unreg_for1d", kxx::RangePolicy(0, 5), CountFor1D{v});
+       return total(v);
+     }},
+    {"For2D", 12.0,
+     [] {
+       kxx::View<double, 2> v("v", 3, 4);
+       kxx::parallel_for("unreg_for2d", kxx::MDRangePolicy2({0, 0}, {3, 4}), CountFor2D{v});
+       return total(v);
+     }},
+    {"For3D", 24.0,
+     [] {
+       kxx::View<double, 3> v("v", 2, 3, 4);
+       kxx::parallel_for("unreg_for3d", kxx::MDRangePolicy3({0, 0, 0}, {2, 3, 4}),
+                         CountFor3D{v});
+       return total(v);
+     }},
+    {"Reduce1D", 5.0,
+     [] {
+       double s = 0.0;
+       kxx::parallel_reduce("unreg_reduce1d", kxx::RangePolicy(0, 5), CountReduce1D{},
+                            kxx::Sum<double>(s));
+       return s;
+     }},
+    {"Reduce2D", 12.0,
+     [] {
+       double s = 0.0;
+       kxx::parallel_reduce("unreg_reduce2d", kxx::MDRangePolicy2({0, 0}, {3, 4}),
+                            CountReduce2D{}, kxx::Sum<double>(s));
+       return s;
+     }},
+    {"Reduce3D", 24.0,
+     [] {
+       double s = 0.0;
+       kxx::parallel_reduce("unreg_reduce3d", kxx::MDRangePolicy3({0, 0, 0}, {2, 3, 4}),
+                            CountReduce3D{}, kxx::Sum<double>(s));
+       return s;
+     }},
+};
+
+}  // namespace
+
+class UnregisteredKernel : public ::testing::TestWithParam<UnregisteredCase> {};
+
+TEST_P(UnregisteredKernel, PermissiveFallsBackAndCounts) {
+  const UnregisteredCase& c = GetParam();
+  kxx::initialize({kxx::Backend::AthreadSim, 1, /*athread_strict=*/false});
+  const long long before = kxx::athread_fallback_count();
+  EXPECT_EQ(c.run(), c.extent);
+  EXPECT_EQ(kxx::athread_fallback_count(), before + 1);
+}
+
+TEST_P(UnregisteredKernel, StrictThrowsNamingTheKind) {
+  const UnregisteredCase& c = GetParam();
+  kxx::initialize({kxx::Backend::AthreadSim, 1, /*athread_strict=*/true});
+  const long long before = kxx::athread_fallback_count();
+  try {
+    c.run();
+    ADD_FAILURE() << "no KernelNotRegistered for " << c.kind;
+  } catch (const kxx::KernelNotRegistered& e) {
+    EXPECT_NE(std::string(e.what()).find(std::string("(") + c.kind + ")"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(kxx::athread_fallback_count(), before);
+  kxx::set_athread_strict(false);
+}
+
+INSTANTIATE_TEST_SUITE_P(RankByKind, UnregisteredKernel, ::testing::ValuesIn(kUnregisteredCases),
+                         [](const auto& info) { return std::string(info.param.kind); });

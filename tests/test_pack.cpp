@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -421,6 +423,95 @@ TEST(ParallelForPacked, EnvOverrideParsesPackSize) {
   EXPECT_EQ(cfg.pack_size, 4);
   ::unsetenv("LICOMK_PACK_SIZE");
   kxx::initialize({kxx::Backend::Serial, 1, false});
+}
+
+/// Sets one environment variable for a scope and restores the previous value
+/// (CI legs export some of these themselves).
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_.has_value()) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+/// The InvalidArgument a call throws, or "" when it returns normally.
+template <typename Call>
+std::string invalid_argument_of(Call&& call) {
+  try {
+    call();
+  } catch (const licomk::InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ParallelForPacked, EnvOverrideRejectsMalformedValues) {
+  const kxx::InitConfig serial{kxx::Backend::Serial, 1, false};
+  for (const char* bad : {"abc", "-2", "4x", "", " 3"}) {
+    SCOPED_TRACE(std::string("LICOMK_NUM_THREADS='") + bad + "'");
+    ScopedEnv env("LICOMK_NUM_THREADS", bad);
+    EXPECT_NE(invalid_argument_of([&] { kxx::config_from_env(serial); })
+                  .find("LICOMK_NUM_THREADS"),
+              std::string::npos);
+  }
+  for (const char* bad : {"yes", "ON", "2", "", "true "}) {
+    SCOPED_TRACE(std::string("LICOMK_ATHREAD_STRICT='") + bad + "'");
+    ScopedEnv env("LICOMK_ATHREAD_STRICT", bad);
+    EXPECT_NE(invalid_argument_of([&] { kxx::config_from_env(serial); })
+                  .find("LICOMK_ATHREAD_STRICT"),
+              std::string::npos);
+  }
+  for (const char* bad : {"8abc", "3", "-4", ""}) {
+    SCOPED_TRACE(std::string("LICOMK_PACK_SIZE='") + bad + "'");
+    ScopedEnv env("LICOMK_PACK_SIZE", bad);
+    EXPECT_NE(invalid_argument_of([&] { kxx::config_from_env(serial); })
+                  .find("LICOMK_PACK_SIZE"),
+              std::string::npos);
+    EXPECT_NE(invalid_argument_of([&] { kxx::initialize(serial); }).find("LICOMK_PACK_SIZE"),
+              std::string::npos);
+  }
+  kxx::initialize(serial);
+}
+
+TEST(ParallelForPacked, EnvOverrideAcceptsWholeTokens) {
+  const kxx::InitConfig serial{kxx::Backend::Serial, 1, false};
+  {
+    ScopedEnv env("LICOMK_NUM_THREADS", "3");
+    EXPECT_EQ(kxx::config_from_env(serial).num_threads, 3);
+  }
+  {
+    ScopedEnv env("LICOMK_NUM_THREADS", "0");  // 0 = hardware concurrency
+    EXPECT_EQ(kxx::config_from_env(serial).num_threads, 0);
+  }
+  for (const char* on : {"1", "on", "true"}) {
+    ScopedEnv env("LICOMK_ATHREAD_STRICT", on);
+    EXPECT_TRUE(kxx::config_from_env(serial).athread_strict) << on;
+  }
+  for (const char* off : {"0", "off", "false"}) {
+    ScopedEnv env("LICOMK_ATHREAD_STRICT", off);
+    EXPECT_FALSE(kxx::config_from_env({kxx::Backend::Serial, 1, true}).athread_strict) << off;
+  }
+  {
+    ScopedEnv env("LICOMK_PACK_SIZE", "8");
+    EXPECT_EQ(kxx::config_from_env(serial).pack_size, 8);
+    kxx::initialize(serial);
+    EXPECT_EQ(kxx::pack_size(), 8);
+  }
+  kxx::initialize(serial);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "core/polar_filter.hpp"
 #include "core/state.hpp"
 #include "kxx/kxx.hpp"
+#include "kxx_env.hpp"
 
 namespace lc = licomk::core;
 namespace lco = licomk::comm;
@@ -31,7 +32,6 @@ struct Fixture {
 }  // namespace
 
 TEST(PolarFilter, ActsOnlyPolewardOfThreshold) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   Fixture fx;
   lc::LocalGrid g(*fx.global, *fx.dec, 0);
   lc::PolarFilter filter(g, 60.0, 2.0);
@@ -49,7 +49,6 @@ TEST(PolarFilter, ActsOnlyPolewardOfThreshold) {
 }
 
 TEST(PolarFilter, MorePassesCloserToTheFold) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   Fixture fx;
   lc::LocalGrid g(*fx.global, *fx.dec, 0);
   lc::PolarFilter filter(g, 55.0, 2.0);
@@ -65,7 +64,6 @@ TEST(PolarFilter, MorePassesCloserToTheFold) {
 }
 
 TEST(PolarFilter, ConservativeFormPreservesAreaIntegral) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   Fixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LocalGrid g(*fx.global, *fx.dec, 0);
@@ -91,7 +89,6 @@ TEST(PolarFilter, ConservativeFormPreservesAreaIntegral) {
 }
 
 TEST(PolarFilter, DampsGridScaleNoiseOnFilteredRows) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   Fixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LocalGrid g(*fx.global, *fx.dec, 0);
@@ -126,7 +123,6 @@ TEST(PolarFilter, DampsGridScaleNoiseOnFilteredRows) {
 }
 
 TEST(PolarFilter, MultiRankMatchesSingleRank) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   Fixture fx1(1, 1);
   auto spec = fx1.global->spec();
   std::vector<double> ref(static_cast<size_t>(spec.ny) * spec.nx, 0.0);
@@ -173,7 +169,6 @@ TEST(PolarFilter, MultiRankMatchesSingleRank) {
 }
 
 TEST(PolarFilter, ThreeDFilterMatchesPerLevelTwoD) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   Fixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
     lc::LocalGrid g(*fx.global, *fx.dec, 0);
