@@ -137,33 +137,28 @@ static void BM_CpeDmaDoubleBuffered(benchmark::State& state) {
 }
 BENCHMARK(BM_CpeDmaDoubleBuffered)->Unit(benchmark::kMicrosecond);
 
-static void BM_CanutoColumn(benchmark::State& state) {
+// One column of the scalar closure (the N = 1 instance the packed vmix_coeffs
+// kernel runs per lane), interface by interface.
+template <typename Closure>
+static void run_column(benchmark::State& state, Closure closure) {
   const int nlev = static_cast<int>(state.range(0));
-  std::vector<double> n2(static_cast<size_t>(nlev), 1e-5);
-  std::vector<double> s2(static_cast<size_t>(nlev), 1e-4);
-  std::vector<double> z(static_cast<size_t>(nlev));
   std::vector<double> km(static_cast<size_t>(nlev)), kt(static_cast<size_t>(nlev));
-  for (int k = 0; k < nlev; ++k) z[static_cast<size_t>(k)] = 10.0 * (k + 1);
   for (auto _ : state) {
-    lc::compute_column_mixing(lc::VMixScheme::Canuto, nlev, n2.data(), s2.data(), z.data(),
-                              km.data(), kt.data());
+    for (int k = 0; k < nlev; ++k) {
+      const lc::MixingCoeffs c = closure(1e-5, 1e-4, 10.0 * (k + 1));
+      km[static_cast<size_t>(k)] = c.km;
+      kt[static_cast<size_t>(k)] = c.kt;
+    }
     benchmark::DoNotOptimize(km.data());
+    benchmark::DoNotOptimize(kt.data());
   }
 }
+
+static void BM_CanutoColumn(benchmark::State& state) { run_column(state, lc::canuto_mixing); }
 BENCHMARK(BM_CanutoColumn)->Arg(30)->Arg(80)->Arg(244);
 
 static void BM_RichardsonColumn(benchmark::State& state) {
-  const int nlev = static_cast<int>(state.range(0));
-  std::vector<double> n2(static_cast<size_t>(nlev), 1e-5);
-  std::vector<double> s2(static_cast<size_t>(nlev), 1e-4);
-  std::vector<double> z(static_cast<size_t>(nlev));
-  std::vector<double> km(static_cast<size_t>(nlev)), kt(static_cast<size_t>(nlev));
-  for (int k = 0; k < nlev; ++k) z[static_cast<size_t>(k)] = 10.0 * (k + 1);
-  for (auto _ : state) {
-    lc::compute_column_mixing(lc::VMixScheme::Richardson, nlev, n2.data(), s2.data(), z.data(),
-                              km.data(), kt.data());
-    benchmark::DoNotOptimize(km.data());
-  }
+  run_column(state, [](double n2, double s2, double) { return lc::richardson_mixing(n2, s2); });
 }
 BENCHMARK(BM_RichardsonColumn)->Arg(80);
 

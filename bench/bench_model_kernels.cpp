@@ -82,12 +82,17 @@ static void BM_MomentumTendencies(benchmark::State& state) {
 }
 BENCHMARK(BM_MomentumTendencies)->Unit(benchmark::kMillisecond);
 
+// The vmix_coeffs kernel at pack width 1 (its scalar pack_op<1> body) and at
+// the compiled width; ci/check_pack_fusion.py gates the ratio.
 static void BM_VerticalMixing(benchmark::State& state) {
   ModelHolder h(8, 12, kxx::Backend::Serial);
   auto& m = *h.model;
+  kxx::set_pack_size(static_cast<int>(state.range(0)));
   for (auto _ : state) m.mixer().compute(m.state());
+  kxx::set_pack_size(LICOMK_PACK_SIZE);
+  state.counters["pack"] = static_cast<double>(state.range(0));
 }
-BENCHMARK(BM_VerticalMixing)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_VerticalMixing)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
 
 // --- Pack/fusion ablation of the readyt/readyc dynamics chain -------------
 //

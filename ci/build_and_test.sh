@@ -19,11 +19,12 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 # swsim suites honor LICOMK_BACKEND for their generic tests, and the three
 # halo suites re-initialize kxx from it before every test (tests/kxx_env.hpp),
 # so their pack/unpack kernel (halo_box_copy) runs on every backend. The
-# kernel-level suites do the same, so their 2-D/3-D model functors run on
-# every backend too. Sweep all three execution backends to catch
-# backend-conditional regressions.
+# kernel-level suites do the same, so their 2-D/3-D model functors (the
+# vertical-mixing kernels of test_vmix included) run on every backend too.
+# Sweep all three execution backends to catch backend-conditional
+# regressions.
 HALO_SUITES='test_halo|test_exchange_group|test_persistent_group'
-KERNEL_SUITES='test_dynamics|test_advection|test_polar_filter'
+KERNEL_SUITES='test_dynamics|test_advection|test_polar_filter|test_vmix'
 for backend in serial threads athread; do
   echo "=== backend sweep: LICOMK_BACKEND=$backend ==="
   LICOMK_BACKEND="$backend" LICOMK_NUM_THREADS=2 \

@@ -196,73 +196,82 @@ struct FusedLowOrderPair {
   }
 
   /// Packed form, and through pack_op<1> the scalar body (AthreadSim, pack
-  /// width 1). No LevelsRef at the dispatch: inactive cells still write the
-  /// passthrough qtd = q, exactly as LowOrder's early-out does. Partial
-  /// i-tails need no fallback: every load and store is masked. The
-  /// horizontal flux/tracer neighborhoods load as Packs; the upwind selects
-  /// and the guarded vertical faces stay lane-scalar (data-dependent
-  /// branches), reading their lanes out of the loaded packs.
+  /// width 1, partial i-tails), in the RFactors style: int lane masks from
+  /// kmt, unmasked loads (every ±1 neighbor of a full pack lies inside the
+  /// allocation), bitwise selects. No LevelsRef at the dispatch: inactive
+  /// cells still write the passthrough qtd = q, exactly as LowOrder's
+  /// early-out does.
   template <int N>
   void pack_op(long long k, long long j, long long i0, const kxx::Mask<N>& tail) const {
     using P = kxx::Pack<double, N>;
-    kxx::Mask<N> act;
-    for (int l = 0; l < N; ++l) act.set(l, tail[l] && g.active(k, j, i0 + l));
-
-    const P qa_c = kxx::pack_load<N>(tail, qa.ptr(k, j, i0));
-    const P qb_c = kxx::pack_load<N>(tail, qb.ptr(k, j, i0));
-    if (act.none()) {
-      kxx::pack_store<N>(tail, qa_td.ptr(k, j, i0), qa_c);
-      kxx::pack_store<N>(tail, qb_td.ptr(k, j, i0), qb_c);
+    if constexpr (N > 1) {
+      if (!tail.all()) {
+        for (int l = 0; l < N; ++l)
+          if (tail[l]) pack_op<1>(k, j, i0 + l, kxx::Mask<1>::all_true());
+        return;
+      }
+    }
+    int act[N], bot[N];  // lo_t(k) guard is k > 0 (plane-uniform) and act
+    int any = 0;
+    for (int l = 0; l < N; ++l) {
+      const int kc = g.kmt(j, i0 + l);
+      act[l] = k < kc;
+      bot[l] = k + 1 < kc;  // lo_t(k + 1) guard
+      any |= act[l];
+    }
+    const P qa_c = kxx::pack_load<N>(qa.ptr(k, j, i0));
+    const P qb_c = kxx::pack_load<N>(qb.ptr(k, j, i0));
+    if (!any) {
+      kxx::pack_store<N>(qa_td.ptr(k, j, i0), qa_c);
+      kxx::pack_store<N>(qb_td.ptr(k, j, i0), qb_c);
       return;
     }
-    const P fe_c = kxx::pack_load<N>(act, fe.ptr(k, j, i0));
-    const P fe_w = kxx::pack_load<N>(act, fe.ptr(k, j, i0 - 1));
-    const P fn_c = kxx::pack_load<N>(act, fn.ptr(k, j, i0));
-    const P fn_s = kxx::pack_load<N>(act, fn.ptr(k, j - 1, i0));
-    const P qa_e = kxx::pack_load<N>(act, qa.ptr(k, j, i0 + 1));
-    const P qa_w = kxx::pack_load<N>(act, qa.ptr(k, j, i0 - 1));
-    const P qa_n = kxx::pack_load<N>(act, qa.ptr(k, j + 1, i0));
-    const P qa_s = kxx::pack_load<N>(act, qa.ptr(k, j - 1, i0));
-    const P qb_e = kxx::pack_load<N>(act, qb.ptr(k, j, i0 + 1));
-    const P qb_w = kxx::pack_load<N>(act, qb.ptr(k, j, i0 - 1));
-    const P qb_n = kxx::pack_load<N>(act, qb.ptr(k, j + 1, i0));
-    const P qb_s = kxx::pack_load<N>(act, qb.ptr(k, j - 1, i0));
-    const P area_p = kxx::pack_load<N>(act, g.area.ptr(j, i0));
-
-    // Horizontal donor-cell fluxes as Pack selects: both candidate products
-    // are the scalar path's own expressions, the blend keeps the one the
-    // scalar branch would have taken — per-lane results identical. The
-    // upwind mask comes from the face flux sign, not the activity mask, so
-    // dead lanes just compute garbage that the final blend discards.
-    auto upw = [](const P& vol, const P& q_from, const P& q_to) {
-      return kxx::blend(vol > 0.0, vol * q_from, vol * q_to);
+    // Donor-cell flux through a face as a select: both candidate products
+    // are upwind_flux's own expressions, the mask keeps the one its branch
+    // takes. The mask comes from the face flux sign, not the activity mask,
+    // so dead lanes just compute values that the final select discards.
+    auto upw = [](const P& vol, const P& q_from, const P& q_to) __attribute__((always_inline)) {
+      int pos[N];
+      for (int l = 0; l < N; ++l) pos[l] = vol[l] > 0.0;
+      return kxx::select(pos, vol * q_from, vol * q_to);
     };
-    P div_a = upw(fe_c, qa_c, qa_e) - upw(fe_w, qa_w, qa_c) + upw(fn_c, qa_c, qa_n) -
-              upw(fn_s, qa_s, qa_c);
-    P div_b = upw(fe_c, qb_c, qb_e) - upw(fe_w, qb_w, qb_c) + upw(fn_c, qb_c, qb_n) -
-              upw(fn_s, qb_s, qb_c);
-    // Vertical faces stay lane-scalar: each lane's own column depth guards
-    // the w/q reads at kk-1 and kk+1.
-    for (int l = 0; l < N; ++l) {
-      if (!act[l]) continue;
-      const long long i = i0 + l;
-      auto lo_t = [&](const CF3& q, long long kk) {
-        if (kk <= 0 || kk >= g.kmt(j, i)) return 0.0;
-        return upwind_flux(w(kk, j, i), q(kk, j, i), q(kk - 1, j, i));
-      };
-      div_a[l] = div_a[l] + lo_t(qa, k) - lo_t(qa, k + 1);
-      div_b[l] = div_b[l] + lo_t(qb, k) - lo_t(qb, k + 1);
+    const P fe_c = kxx::pack_load<N>(fe.ptr(k, j, i0));
+    const P fe_w = kxx::pack_load<N>(fe.ptr(k, j, i0 - 1));
+    const P fn_c = kxx::pack_load<N>(fn.ptr(k, j, i0));
+    const P fn_s = kxx::pack_load<N>(fn.ptr(k, j - 1, i0));
+    P div_a = upw(fe_c, qa_c, kxx::pack_load<N>(qa.ptr(k, j, i0 + 1))) -
+              upw(fe_w, kxx::pack_load<N>(qa.ptr(k, j, i0 - 1)), qa_c) +
+              upw(fn_c, qa_c, kxx::pack_load<N>(qa.ptr(k, j + 1, i0))) -
+              upw(fn_s, kxx::pack_load<N>(qa.ptr(k, j - 1, i0)), qa_c);
+    P div_b = upw(fe_c, qb_c, kxx::pack_load<N>(qb.ptr(k, j, i0 + 1))) -
+              upw(fe_w, kxx::pack_load<N>(qb.ptr(k, j, i0 - 1)), qb_c) +
+              upw(fn_c, qb_c, kxx::pack_load<N>(qb.ptr(k, j + 1, i0))) -
+              upw(fn_s, kxx::pack_load<N>(qb.ptr(k, j - 1, i0)), qb_c);
+    // Vertical faces, LowOrder's lo_t(k) - lo_t(k + 1): the surface face and
+    // the faces at or below a lane's bottom contribute 0.0.
+    const P zero(0.0);
+    P ta = zero, tb = zero;
+    if (k > 0) {
+      const P w_k = kxx::pack_load<N>(w.ptr(k, j, i0));
+      ta = kxx::select(act, upw(w_k, qa_c, kxx::pack_load<N>(qa.ptr(k - 1, j, i0))), zero);
+      tb = kxx::select(act, upw(w_k, qb_c, kxx::pack_load<N>(qb.ptr(k - 1, j, i0))), zero);
     }
+    P ba = zero, bb = zero;
+    if (k + 1 < g.nz) {
+      const P w_d = kxx::pack_load<N>(w.ptr(k + 1, j, i0));
+      ba = kxx::select(bot, upw(w_d, kxx::pack_load<N>(qa.ptr(k + 1, j, i0)), qa_c), zero);
+      bb = kxx::select(bot, upw(w_d, kxx::pack_load<N>(qb.ptr(k + 1, j, i0)), qb_c), zero);
+    }
+    div_a = div_a + ta - ba;
+    div_b = div_b + tb - bb;
     if (k == 0) {
-      const P w0 = kxx::pack_load<N>(act, w.ptr(0, j, i0));
+      const P w0 = kxx::pack_load<N>(w.ptr(0, j, i0));
       div_a += qa_c * w0;
       div_b += qb_c * w0;
     }
-    const P vol_p = area_p * g.dz[k];
-    const P qa_o = kxx::blend(act, qa_c - dt * div_a / vol_p, qa_c);
-    const P qb_o = kxx::blend(act, qb_c - dt * div_b / vol_p, qb_c);
-    kxx::pack_store<N>(tail, qa_td.ptr(k, j, i0), qa_o);
-    kxx::pack_store<N>(tail, qb_td.ptr(k, j, i0), qb_o);
+    const P vol_p = kxx::pack_load<N>(g.area.ptr(j, i0)) * g.dz[k];
+    kxx::pack_store<N>(qa_td.ptr(k, j, i0), kxx::select(act, qa_c - dt * div_a / vol_p, qa_c));
+    kxx::pack_store<N>(qb_td.ptr(k, j, i0), kxx::select(act, qb_c - dt * div_b / vol_p, qb_c));
   }
 };
 

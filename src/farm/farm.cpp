@@ -6,6 +6,10 @@
 #include <thread>
 #include <utility>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "comm/communicator.hpp"
 #include "resilience/redistribute.hpp"
 #include "resilience/supervisor.hpp"
@@ -33,6 +37,21 @@ bool name_is_safe(const std::string& name) {
   return true;
 }
 
+/// One malloc arena for the whole process. glibc gives each thread its own
+/// arena, and its dynamic mmap threshold soon moves field-sized blocks (model
+/// fields, restore buffers) from mmap into those arenas. A tenant model
+/// dropped on one worker then leaves its pages resident in that worker's
+/// arena, reusable only by that worker, so the process's peak RSS depended
+/// on which worker built which model when, not only on how many models were
+/// alive. With one arena every freed block serves the next model, whichever
+/// worker builds it. The price is one allocator lock shared by all threads.
+void share_one_malloc_arena() {
+#if defined(__GLIBC__)
+  static const int set = mallopt(M_ARENA_MAX, 1);
+  static_cast<void>(set);
+#endif
+}
+
 }  // namespace
 
 const char* to_string(TenantState s) {
@@ -56,6 +75,7 @@ ForecastFarm::ForecastFarm(FarmOptions options) : options_(std::move(options)) {
   LICOMK_REQUIRE(!options_.checkpoint_root.empty(), "farm needs a checkpoint_root");
   LICOMK_REQUIRE(options_.fault_domain_base >= 0, "fault_domain_base must be >= 0");
   std::filesystem::create_directories(options_.checkpoint_root);
+  share_one_malloc_arena();
 }
 
 int ForecastFarm::submit(ScenarioRequest request) {

@@ -12,8 +12,10 @@
 // exactly the FP ops the N scalar iterations would, on the same values, so
 // packed results are bit-identical to scalar execution (asserted end-to-end
 // in tests/test_pack.cpp and the model CRC matrix). Branchy per-lane physics
-// (equation of state, upwind selection, surface forcing) stays lane-scalar
-// inside pack functors for the same reason.
+// either computes both arms and keeps one per lane with kxx::select (upwind
+// selection, the vertical-mixing closure), each arm the scalar branch's own
+// expression, or stays lane-scalar inside the pack functor (surface forcing)
+// for the same reason.
 #pragma once
 
 #include <bit>

@@ -483,7 +483,9 @@ TEST(Baseline, LegacyRoutineBitIdenticalToKxxPipeline) {
 // same order as the per-tracer LowOrder kernel, and masked stores leave
 // land/halo bytes untouched. The pair (one fused q_td group exchange) is
 // also two sequential single-tracer advections (per-field q_td exchanges,
-// per-tracer LowOrder predictors), bit for bit.
+// per-tracer LowOrder predictors), bit for bit. The block has a partial
+// i-tail at widths 4 and 8 and a band of still water, where the face fluxes
+// and w are exactly zero (the upwind selects' vol > 0 boundary).
 TEST(Advection, FusedLowOrderPairBitIdenticalToUnfused) {
   Fixture fx;
   lco::Runtime::run(1, [&](lco::Communicator& c) {
@@ -493,6 +495,14 @@ TEST(Advection, FusedLowOrderPairBitIdenticalToUnfused) {
     lc::AdvectionWorkspace ws(g);
     lc::TracerAdvScratch scratch(g);
     set_velocities(g, s, 0.4, 23);
+    for (int k = 0; k < g.nz(); ++k)
+      for (int j = kH + 3; j < kH + 7; ++j)
+        for (int i = 0; i < g.nx_total(); ++i) {
+          s.u_cur.at(k, j, i) = 0.0;
+          s.v_cur.at(k, j, i) = 0.0;
+        }
+    const int lo_extent = g.nx_total() - 2;  // adv_low_order_pair: interior + 1 ring
+    for (int w : {4, 8}) ASSERT_NE(lo_extent % w, 0);
     ex.update(s.u_cur, lh::FoldSign::Antisymmetric);
     ex.update(s.v_cur, lh::FoldSign::Antisymmetric);
     set_tracer(g, s.t_cur, 5);
@@ -500,6 +510,17 @@ TEST(Advection, FusedLowOrderPairBitIdenticalToUnfused) {
     ex.update(s.t_cur);
     ex.update(s.s_cur);
     lc::compute_volume_fluxes(g, s.u_cur, s.v_cur, ws);
+    long long w_pos = 0, w_neg = 0, w_zero = 0;  // interior faces k > 0 of sea cells
+    for (int k = 1; k < g.nz(); ++k)
+      for (int j = kH; j < kH + g.ny(); ++j)
+        for (int i = kH; i < kH + g.nx(); ++i) {
+          if (!g.t_active(k, j, i)) continue;
+          const double w = ws.w_top.at(k, j, i);
+          (w > 0.0 ? w_pos : w < 0.0 ? w_neg : w_zero) += 1;
+        }
+    ASSERT_GT(w_pos, 0);
+    ASSERT_GT(w_neg, 0);
+    ASSERT_GT(w_zero, 0);
     lh::PersistentGroup qtd_group(ex);
     qtd_group.add(ws.q_td);
     qtd_group.add(scratch.q_td);

@@ -1,17 +1,24 @@
-// Tests for vertical mixing: Canuto/Richardson stability functions, column
-// mixing, convective adjustment, and the Fig. 4 load-balanced evaluation.
+// Tests for vertical mixing: Canuto/Richardson stability functions, the
+// packed vmix_coeffs kernel against the scalar closure, convective
+// adjustment, and the Fig. 4 load-balanced evaluation.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <mutex>
 
 #include "comm/runtime.hpp"
 #include "core/constants.hpp"
+#include "core/eos.hpp"
 #include "core/model.hpp"
 #include "core/vmix.hpp"
 #include "kxx/kxx.hpp"
+#include "kxx_env.hpp"
 
 namespace lc = licomk::core;
 namespace lco = licomk::comm;
@@ -87,63 +94,252 @@ TEST(Vmix, MixingLengthSaturates) {
   EXPECT_NEAR(lc::mixing_length(1e6), 30.0, 1.0);  // asymptotic length
 }
 
-TEST(Vmix, ColumnComputationFillsInterfaces) {
-  const int nlev = 10;
-  std::vector<double> n2(nlev - 1, 1e-5);
-  std::vector<double> s2(nlev - 1, 1e-4);
-  std::vector<double> z(nlev - 1);
-  for (int k = 0; k < nlev - 1; ++k) z[static_cast<size_t>(k)] = 10.0 * (k + 1);
-  std::vector<double> km(nlev - 1, -1.0), kt(nlev - 1, -1.0);
-  lc::compute_column_mixing(lc::VMixScheme::Canuto, nlev, n2.data(), s2.data(), z.data(),
-                            km.data(), kt.data());
-  for (int k = 0; k < nlev - 1; ++k) {
-    EXPECT_GT(km[static_cast<size_t>(k)], 0.0);
-    EXPECT_GT(kt[static_cast<size_t>(k)], 0.0);
+TEST(Vmix, DeeperInterfacesMixMoreAtEqualRi) {
+  double prev_km = 0.0;
+  for (double z : {10.0, 20.0, 40.0, 60.0}) {
+    auto c = lc::canuto_mixing(1e-5, 1e-4, z);
+    EXPECT_GT(c.km, prev_km) << "at z=" << z;  // longer mixing length
+    EXPECT_GT(c.kt, 0.0);
+    prev_km = c.km;
   }
-  // Deeper interfaces (longer mixing length) mix more at equal Ri.
-  EXPECT_GT(km[5], km[0]);
 }
 
 namespace {
-/// Run the mixer inside a model-like setup on `nranks`, returning the
-/// interior kappa_t field indexed globally.
-std::vector<double> run_mixer(int nranks, bool load_balance) {
+
+constexpr int kH = licomk::decomp::kHaloWidth;
+
+/// kappa_m and kappa_t interior fields gathered into global (k, j, i) order.
+struct Kappas {
+  std::vector<double> km, kt;
+};
+
+/// Run the model on `nranks` for three steps (the first builds the Fig. 4
+/// plan, the later ones reuse it) and gather both mixing coefficients.
+Kappas run_mixer(int nranks, bool load_balance, lc::VMixScheme scheme) {
   auto cfg = lc::ModelConfig::testing(8);
   cfg.grid.nz = 8;
-  cfg.vmix = lc::VMixScheme::Canuto;
+  cfg.vmix = scheme;
   cfg.canuto_load_balance = load_balance;
   auto global = std::make_shared<licomk::grid::GlobalGrid>(cfg.grid, cfg.bathymetry_seed);
-  std::vector<double> out(static_cast<size_t>(cfg.grid.nz) * cfg.grid.ny * cfg.grid.nx, 0.0);
+  const size_t n = static_cast<size_t>(cfg.grid.nz) * cfg.grid.ny * cfg.grid.nx;
+  Kappas out{std::vector<double>(n, 0.0), std::vector<double>(n, 0.0)};
   std::mutex out_mutex;
   lco::Runtime::run(nranks, [&](lco::Communicator& c) {
     lc::LicomModel model(cfg, global, c);
-    model.step();  // one step computes kappa through the mixer
+    for (int s = 0; s < 3; ++s) model.step();
     const auto& g = model.local_grid();
     const auto& e = g.extent();
     std::lock_guard<std::mutex> lock(out_mutex);
     for (int k = 0; k < g.nz(); ++k)
       for (int j = 0; j < g.ny(); ++j)
-        for (int i = 0; i < g.nx(); ++i)
-          out[(static_cast<size_t>(k) * cfg.grid.ny + (e.j0 + j)) * cfg.grid.nx + (e.i0 + i)] =
-              model.state().kappa_t.at(k, j + licomk::decomp::kHaloWidth,
-                                       i + licomk::decomp::kHaloWidth);
+        for (int i = 0; i < g.nx(); ++i) {
+          const size_t at =
+              (static_cast<size_t>(k) * cfg.grid.ny + (e.j0 + j)) * cfg.grid.nx + (e.i0 + i);
+          out.km[at] = model.state().kappa_m.at(k, j + kH, i + kH);
+          out.kt[at] = model.state().kappa_t.at(k, j + kH, i + kH);
+        }
   });
   return out;
 }
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 }  // namespace
 
-TEST(Vmix, LoadBalancedResultsIdenticalToLocal) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
-  auto without = run_mixer(4, false);
-  auto with = run_mixer(4, true);
-  ASSERT_EQ(without.size(), with.size());
-  for (size_t n = 0; n < without.size(); ++n) {
-    ASSERT_DOUBLE_EQ(without[n], with[n]) << "at " << n;
+namespace {
+// The branchy scalar closure the packed one replaced, kept as an independent
+// oracle: the select/clamp/cap lowering must reproduce it bit for bit.
+double branchy_sm(double ri) {
+  ri = std::clamp(ri, -2.0, 50.0);
+  if (ri >= 0.0) return 0.107 * (1.0 + 2.0 * ri) / (1.0 + 10.0 * ri + 30.0 * ri * ri);
+  return 0.107 * (1.0 + 9.0 * (-ri) / (1.0 - 1.5 * ri));
+}
+double branchy_sh(double ri) {
+  ri = std::clamp(ri, -2.0, 50.0);
+  if (ri >= 0.0) return 0.134 / (1.0 + 14.0 * ri + 60.0 * ri * ri);
+  return 0.134 * (1.0 + 12.0 * (-ri) / (1.0 - 1.5 * ri));
+}
+lc::MixingCoeffs branchy_mixing(bool canuto, double n2, double shear2, double z) {
+  if (n2 < 0.0) return {lc::kConvectiveKappa, lc::kConvectiveKappa};
+  const double s2 = std::max(shear2, 1e-10);
+  if (canuto) {
+    const double ri = n2 / s2;
+    const double l = lc::mixing_length(z);
+    const double q = l * l * std::sqrt(s2);
+    return {std::min(branchy_sm(ri) * q + lc::kKappaBackgroundM, 0.5),
+            std::min(branchy_sh(ri) * q + lc::kKappaBackgroundT, 0.5)};
   }
+  const double ri = std::clamp(n2 / s2, 0.0, 50.0);
+  const double denom = 1.0 + 5.0 * ri;
+  const double nu = 0.01 / (denom * denom);
+  return {std::min(nu + lc::kKappaBackgroundM, 0.5),
+          std::min(nu / denom + lc::kKappaBackgroundT, 0.5)};
+}
+}  // namespace
+
+TEST(Vmix, ClosureMatchesBranchyReference) {
+  auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (double ri : {-10.0, -2.0, -1.0, -0.5, -0.0, 0.0, 0.3, 2.0 / 3.0, 1.0, 50.0, 60.0}) {
+    EXPECT_EQ(bits(lc::canuto_sm(ri)), bits(branchy_sm(ri))) << "ri=" << ri;
+    EXPECT_EQ(bits(lc::canuto_sh(ri)), bits(branchy_sh(ri))) << "ri=" << ri;
+  }
+  for (double n2 : {-1e-3, -1e-9, -0.0, 0.0, 1e-9, 1e-6, 1e-4, 1e-2})
+    for (double s2 : {0.0, 1e-12, 1e-10, 1e-8, 1e-4, 1e-1, 10.0})
+      for (double z : {0.1, 5.0, 50.0, 500.0}) {
+        const auto c = lc::canuto_mixing(n2, s2, z);
+        const auto cr = branchy_mixing(true, n2, s2, z);
+        EXPECT_EQ(bits(c.km), bits(cr.km)) << n2 << " " << s2 << " " << z;
+        EXPECT_EQ(bits(c.kt), bits(cr.kt)) << n2 << " " << s2 << " " << z;
+        const auto r = lc::richardson_mixing(n2, s2);
+        const auto rr = branchy_mixing(false, n2, s2, z);
+        EXPECT_EQ(bits(r.km), bits(rr.km)) << n2 << " " << s2;
+        EXPECT_EQ(bits(r.kt), bits(rr.kt)) << n2 << " " << s2;
+      }
+}
+
+// kappa_m and kappa_t are byte-identical at every pack width, on 1 and 4
+// ranks, with the Fig. 4 balancer on and off, for both schemes.
+TEST(Vmix, LoadBalancedResultsIdenticalToLocal) {
+  for (auto scheme : {lc::VMixScheme::Canuto, lc::VMixScheme::Richardson}) {
+    kxx::set_pack_size(1);
+    const Kappas ref = run_mixer(1, false, scheme);
+    for (int pack : {1, 4, 8}) {
+      kxx::set_pack_size(pack);
+      for (auto [ranks, balance] : {std::pair{1, false}, {4, false}, {4, true}}) {
+        const Kappas got = run_mixer(ranks, balance, scheme);
+        EXPECT_TRUE(same_bytes(got.km, ref.km) && same_bytes(got.kt, ref.kt))
+            << "scheme=" << static_cast<int>(scheme) << " pack=" << pack << " ranks=" << ranks
+            << " balance=" << balance;
+      }
+    }
+  }
+  kxx::set_pack_size(LICOMK_PACK_SIZE);
+}
+
+// The packed vmix_coeffs kernel against the scalar closure (canuto_mixing /
+// richardson_mixing of brunt_vaisala_sq and the corner-averaged shear), per
+// interface, byte for byte. The block is ragged (kmt 0, 1, 2 and nz, the 1-
+// and 2-level columns carved into the synthetic Earth, which has none), its
+// interior width leaves a partial i-tail at widths 4 and 8, and the fields
+// reach every branch of the closure: N² < 0, N² = 0 (so Ri is exactly 0),
+// Ri beyond the clamps, shear below the 1e-10 floor, and km/kt at the 0.5
+// cap. Halo cells and the bottom plane are never written.
+TEST(Vmix, PackedKernelMatchesScalarClosure) {
+  EXPECT_EQ(lc::canuto_sm(-7.0), lc::canuto_sm(-2.0));  // the lower Ri clamp
+  EXPECT_EQ(lc::canuto_sh(80.0), lc::canuto_sh(50.0));  // the upper Ri clamp
+  auto spec = licomk::grid::shrink(licomk::grid::spec_coarse100km(), 8);
+  spec.nz = 8;
+  const licomk::grid::GlobalGrid global(spec);
+  const licomk::decomp::Decomposition dec(spec.nx, spec.ny, 1, 1);
+  lco::Runtime::run(1, [&](lco::Communicator& c) {
+    lc::LocalGrid g(global, dec, 0);
+    const int nz = g.nz();
+    // The LocalGrid's kmt handle is shallow (View semantics): carve the
+    // shallow columns before the mixer copies it.
+    for (int j = kH; j < kH + g.ny(); ++j)
+      for (int i = kH; i < kH + g.nx(); ++i)
+        if (g.kmt(j, i) == nz && (i + j) % 9 < 2) g.kmt_view()(j, i) = 1 + (i + j) % 9;
+    bool has[4] = {};  // kmt 0, 1, 2, nz
+    for (int j = kH; j < kH + g.ny(); ++j)
+      for (int i = kH; i < kH + g.nx(); ++i) {
+        const int kc = g.kmt(j, i);
+        has[0] |= kc == 0;
+        has[1] |= kc == 1;
+        has[2] |= kc == 2;
+        has[3] |= kc == nz;
+      }
+    for (bool h : has) ASSERT_TRUE(h);
+    ASSERT_NE(g.nx() % 4, 0);
+    ASSERT_NE(g.nx() % 8, 0);
+
+    // Density by column type along i (unstable, neutral, strongly and weakly
+    // stratified); velocity by row band (depth-uniform, so zero shear, then
+    // strong alternating shear, then mild shear).
+    lc::OceanState s(g);
+    for (int k = 0; k < nz; ++k)
+      for (int j = 0; j < g.ny_total(); ++j)
+        for (int i = 0; i < g.nx_total(); ++i) {
+          const int type = (3 * j + i) % 5;
+          const double rho = type == 0   ? 1025.0 - 0.01 * k
+                             : type == 1 ? 1025.0
+                             : type == 2 ? 1025.0 + 2.0 * k
+                                         : 1025.0 + 1e-3 * k + 1e-4 * ((7 * i + 3 * j) % 5);
+          const int band = j % 6;
+          const double amp = band < 2 ? 0.0 : band < 4 ? 2.0 : 0.01;
+          const double sign = k % 2 == 0 ? 1.0 : -1.0;
+          s.rho.at(k, j, i) = rho;
+          s.u_cur.at(k, j, i) = 0.1 * ((i + j) % 3) + amp * sign;
+          s.v_cur.at(k, j, i) = -0.05 * ((i * j) % 4) + 0.5 * amp * sign * ((i % 2) ? 1 : -1);
+        }
+
+    const auto& vg = g.vertical();
+    auto corner_avg = [&](const licomk::halo::BlockField3D& f, int k, int j, int i) {
+      return 0.25 *
+             (f.at(k, j, i) + f.at(k, j - 1, i) + f.at(k, j, i - 1) + f.at(k, j - 1, i - 1));
+    };
+    auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    constexpr double kSentinel = -7.0;
+    for (auto scheme : {lc::VMixScheme::Canuto, lc::VMixScheme::Richardson}) {
+      const bool canuto = scheme == lc::VMixScheme::Canuto;
+      long long unstable = 0, neutral = 0, steep = 0, still = 0, capped = 0;
+      for (int pack : {1, 4, 8}) {
+        kxx::set_pack_size(pack);
+        for (auto* f : {&s.kappa_m, &s.kappa_t})
+          std::fill_n(f->view().data(), f->view().size(), kSentinel);
+        lc::VerticalMixer mixer(g, c, scheme, false);
+        mixer.compute(s);
+        long long mismatches = 0;
+        for (int k = 0; k < nz; ++k)
+          for (int j = 0; j < g.ny_total(); ++j)
+            for (int i = 0; i < g.nx_total(); ++i) {
+              const double km = s.kappa_m.at(k, j, i);
+              const double kt = s.kappa_t.at(k, j, i);
+              const bool interior = k + 1 < nz && j >= kH && j < kH + g.ny() && i >= kH &&
+                                    i < kH + g.nx();
+              lc::MixingCoeffs ref{kSentinel, kSentinel};
+              if (interior && k + 1 < g.kmt(j, i)) {
+                const double dzc = vg.depth(k + 1) - vg.depth(k);
+                const double n2 =
+                    lc::brunt_vaisala_sq(s.rho.at(k, j, i), s.rho.at(k + 1, j, i), dzc);
+                const double dudz =
+                    (corner_avg(s.u_cur, k, j, i) - corner_avg(s.u_cur, k + 1, j, i)) / dzc;
+                const double dvdz =
+                    (corner_avg(s.v_cur, k, j, i) - corner_avg(s.v_cur, k + 1, j, i)) / dzc;
+                const double s2 = dudz * dudz + dvdz * dvdz;
+                ref = canuto ? lc::canuto_mixing(n2, s2, vg.interface_depth(k + 1))
+                             : lc::richardson_mixing(n2, s2);
+                if (pack == 1) {
+                  unstable += n2 < 0.0;
+                  neutral += n2 == 0.0 && s2 > 1e-10;
+                  steep += n2 / std::max(s2, 1e-10) > 50.0;
+                  still += s2 < 1e-10;
+                  capped += ref.km == 0.5 || ref.kt == 0.5;
+                }
+              } else if (interior) {
+                ref = lc::MixingCoeffs{0.0, 0.0};
+              }
+              if (bits(km) != bits(ref.km) || bits(kt) != bits(ref.kt)) {
+                if (mismatches++ == 0)
+                  ADD_FAILURE() << "scheme=" << static_cast<int>(scheme) << " pack=" << pack
+                                << " (k, j, i)=(" << k << ", " << j << ", " << i << ") km "
+                                << km << " vs " << ref.km << ", kt " << kt << " vs " << ref.kt;
+              }
+            }
+        EXPECT_EQ(mismatches, 0) << "pack=" << pack;
+      }
+      EXPECT_GT(unstable, 0);
+      EXPECT_GT(neutral, 0);
+      EXPECT_GT(steep, 0);
+      EXPECT_GT(still, 0);
+      if (canuto) EXPECT_GT(capped, 0);  // PP81 peaks at 0.01 m^2/s
+    }
+    kxx::set_pack_size(LICOMK_PACK_SIZE);
+  });
 }
 
 TEST(Vmix, LoadBalanceShipsColumnsOnImbalancedRanks) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   auto cfg = lc::ModelConfig::testing(8);
   cfg.grid.nz = 8;
   cfg.canuto_load_balance = true;
@@ -163,7 +359,6 @@ TEST(Vmix, LoadBalanceShipsColumnsOnImbalancedRanks) {
 }
 
 TEST(Vmix, SchemesDifferButBothBounded) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
   auto cfg = lc::ModelConfig::testing(8);
   cfg.grid.nz = 8;
   cfg.vmix = lc::VMixScheme::Canuto;
