@@ -5,9 +5,11 @@
 // dispersed across many kernels (§VII-D "hotspot dispersion").
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "comm/runtime.hpp"
 #include "core/advection.hpp"
@@ -17,6 +19,7 @@
 #include "core/tracer.hpp"
 #include "kxx/kxx.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/crc64.hpp"
 
 namespace lc = licomk::core;
 namespace kxx = licomk::kxx;
@@ -200,6 +203,17 @@ static void BM_FullStepPacked(benchmark::State& state) {
   state.counters["pack"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_FullStepPacked)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+
+// CRC-64 of one farm-sized checkpoint (5 MiB): the integrity check every
+// checkpoint write, verify and restore runs over each byte once.
+static void BM_Crc64(benchmark::State& state) {
+  std::vector<unsigned char> buf(std::size_t{5} << 20);
+  for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<unsigned char>(i * 131 + 7);
+  for (auto _ : state) benchmark::DoNotOptimize(licomk::util::crc64(buf.data(), buf.size()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc64)->Unit(benchmark::kMillisecond);
 
 // Custom main so the CI perf-smoke job can collect telemetry alongside the
 // benchmark numbers: with LICOMK_TELEMETRY=1 the run exports metrics.json and

@@ -584,8 +584,7 @@ AdvectionWorkspace::AdvectionWorkspace(const LocalGrid& g)
       a_t("adv_a_t", g.extent(), g.nz()),
       q_td("adv_q_td", g.extent(), g.nz()),
       r_plus("adv_r_plus", g.extent(), g.nz()),
-      r_minus("adv_r_minus", g.extent(), g.nz()),
-      hmix_lap("hmix_lap", g.extent(), g.nz()) {}
+      r_minus("adv_r_minus", g.extent(), g.nz()) {}
 
 void compute_volume_fluxes(const LocalGrid& g, const halo::BlockField3D& u,
                            const halo::BlockField3D& v, AdvectionWorkspace& ws,

@@ -27,7 +27,7 @@ struct AdvectionWorkspace {
   halo::BlockField3D a_e, a_n, a_t;    ///< anti-diffusive tracer fluxes
   halo::BlockField3D q_td;             ///< low-order provisional field
   halo::BlockField3D r_plus, r_minus;  ///< Zalesak limiter factors
-  halo::BlockField3D hmix_lap;         ///< biharmonic first-pass Laplacian
+  halo::BlockField3D hmix_lap;         ///< biharmonic first-pass Laplacian (allocated on first use)
 
   explicit AdvectionWorkspace(const LocalGrid& g);
 };

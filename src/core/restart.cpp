@@ -79,19 +79,18 @@ void write_restart_impl(const std::string& path, Header h, const std::vector<Fie
   h.version = kVersion;
   h.field_count = static_cast<std::int32_t>(fields.size());
 
-  // Per-field CRC table, then the payload CRC over table + field bytes — the
-  // exact byte stream that follows the header on disk.
+  // Per-field CRC table in one sweep over the field bytes. The payload CRC
+  // covers table + field bytes, the exact byte stream that follows the
+  // header on disk; it is derived from the table by combine, so no field
+  // byte is checksummed twice.
   std::vector<std::uint64_t> table;
   table.reserve(fields.size());
-  for (const FieldSpan& f : fields) {
-    util::Crc64 c;
-    c.update(f.data, f.count * sizeof(double));
-    table.push_back(c.value());
+  for (const FieldSpan& f : fields) table.push_back(util::crc64(f.data, f.count * sizeof(double)));
+  std::uint64_t payload = util::crc64(table.data(), table.size() * sizeof(std::uint64_t));
+  for (std::size_t n = 0; n < fields.size(); ++n) {
+    payload = util::crc64_combine(payload, table[n], fields[n].count * sizeof(double));
   }
-  util::Crc64 payload;
-  payload.update(table.data(), table.size() * sizeof(std::uint64_t));
-  for (const FieldSpan& f : fields) payload.update(f.data, f.count * sizeof(double));
-  h.payload_crc = payload.value();
+  h.payload_crc = payload;
 
   // Stage to "<path>.tmp" so a crash anywhere before the rename leaves the
   // final path untouched (either absent or still holding the previous good
@@ -187,6 +186,45 @@ bool read_prelude(std::ifstream& in, const std::string& path, Header& h,
   return true;
 }
 
+/// Reads the fields that follow the prelude, in table order. Each field is
+/// checksummed once: the CRC is checked against its table entry and folded
+/// into the payload CRC by combine.
+class FieldReader {
+ public:
+  FieldReader(std::ifstream& in, const std::string& path, const std::vector<std::uint64_t>& table)
+      : in_(in), path_(path), table_(table),
+        payload_(util::crc64(table.data(), table.size() * sizeof(std::uint64_t))) {}
+
+  void read(double* dst, std::size_t count) {
+    const std::size_t bytes = count * sizeof(double);
+    in_.read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(bytes));
+    if (!in_) throw Error("truncated restart file: " + path_);
+    const std::uint64_t crc = util::crc64(dst, bytes);
+    if (crc != table_[next_]) {
+      note_crc_failure();
+      throw Error("restart field CRC mismatch for '" + prognostic_field_names()[next_] + "' in " +
+                  path_ + " (corrupt checkpoint)");
+    }
+    payload_ = util::crc64_combine(payload_, crc, bytes);
+    next_ += 1;
+  }
+
+  /// After the last field: the header's payload CRC must match.
+  void check_payload(const Header& h) const {
+    if (payload_ != h.payload_crc) {
+      note_crc_failure();
+      throw Error("restart payload CRC mismatch in " + path_ + " (corrupt checkpoint)");
+    }
+  }
+
+ private:
+  std::ifstream& in_;
+  const std::string& path_;
+  const std::vector<std::uint64_t>& table_;
+  std::uint64_t payload_;
+  std::size_t next_ = 0;
+};
+
 RestartFileInfo file_info(const Header& h, std::vector<std::uint64_t> table) {
   RestartFileInfo fi;
   fi.info = RestartInfo{h.sim_seconds, h.steps, h.step_wall_s};
@@ -260,35 +298,16 @@ RestartInfo read_restart(const std::string& path, const LocalGrid& grid, OceanSt
                 " (was the decomposition or grid changed?)");
   }
 
-  util::Crc64 payload;
-  payload.update(table.data(), table.size() * sizeof(std::uint64_t));
-  std::size_t field_idx = 0;
-  auto read_block = [&](double* dst, std::size_t count, const std::string& name) {
-    in.read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(count * sizeof(double)));
-    if (!in) throw Error("truncated restart file: " + path);
-    util::Crc64 crc;
-    crc.update(dst, count * sizeof(double));
-    payload.update(dst, count * sizeof(double));
-    if (crc.value() != table[field_idx]) {
-      note_crc_failure();
-      throw Error("restart field CRC mismatch for '" + name + "' in " + path +
-                  " (corrupt checkpoint)");
-    }
-    field_idx += 1;
-  };
-  const auto& names = prognostic_field_names();
+  FieldReader reader(in, path, table);
   for (auto* f : prognostic_fields3(state)) {
-    read_block(f->view().data(), f->view().size(), names[field_idx]);
+    reader.read(f->view().data(), f->view().size());
     f->mark_dirty();
   }
   for (auto* f : prognostic_fields2(state)) {
-    read_block(f->view().data(), f->view().size(), names[field_idx]);
+    reader.read(f->view().data(), f->view().size());
     f->mark_dirty();
   }
-  if (payload.value() != h.payload_crc) {
-    note_crc_failure();
-    throw Error("restart payload CRC mismatch in " + path + " (corrupt checkpoint)");
-  }
+  reader.check_payload(h);
   return RestartInfo{h.sim_seconds, h.steps, h.step_wall_s};
 }
 
@@ -331,31 +350,15 @@ RawRestart read_restart_raw(const std::string& path) {
   if (!read_prelude(in, path, h, table, &why)) throw Error(why);
 
   RawRestart raw;
-  util::Crc64 payload;
-  payload.update(table.data(), table.size() * sizeof(std::uint64_t));
-  std::size_t field_idx = 0;
+  FieldReader reader(in, path, table);
   auto read_field = [&](std::size_t count) {
     std::vector<double> data(count);
-    in.read(reinterpret_cast<char*>(data.data()),
-            static_cast<std::streamsize>(count * sizeof(double)));
-    if (!in) throw Error("truncated restart file: " + path);
-    util::Crc64 crc;
-    crc.update(data.data(), count * sizeof(double));
-    payload.update(data.data(), count * sizeof(double));
-    if (crc.value() != table[field_idx]) {
-      note_crc_failure();
-      throw Error("restart field CRC mismatch for '" + prognostic_field_names()[field_idx] +
-                  "' in " + path);
-    }
-    field_idx += 1;
+    reader.read(data.data(), count);
     return data;
   };
   for (int n = 0; n < kNumFields3; ++n) raw.fields3.push_back(read_field(storage3(h)));
   for (int n = 0; n < kNumFields2; ++n) raw.fields2.push_back(read_field(storage2(h)));
-  if (payload.value() != h.payload_crc) {
-    note_crc_failure();
-    throw Error("restart payload CRC mismatch in " + path + " (corrupt checkpoint)");
-  }
+  reader.check_payload(h);
   raw.header = file_info(h, std::move(table));
   return raw;
 }

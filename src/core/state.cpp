@@ -23,7 +23,7 @@ OceanState::OceanState(const LocalGrid& g)
       eta_old(f2("eta_old", g)), eta_cur(f2("eta_cur", g)), eta_new(f2("eta_new", g)),
       ubar_old(f2("ubar_old", g)), ubar_cur(f2("ubar_cur", g)), ubar_new(f2("ubar_new", g)),
       vbar_old(f2("vbar_old", g)), vbar_cur(f2("vbar_cur", g)), vbar_new(f2("vbar_new", g)),
-      rho(f3("rho", g)), pressure(f3("pressure", g)), w(f3("w", g)),
+      rho(f3("rho", g)), pressure(f3("pressure", g)),
       kappa_m(f3("kappa_m", g)), kappa_t(f3("kappa_t", g)),
       fu_tend(f3("fu_tend", g)), fv_tend(f3("fv_tend", g)) {
   // Analytic initial stratification everywhere (land values are masked by

@@ -32,7 +32,6 @@ struct OceanState {
   /// Diagnostics recomputed every step.
   halo::BlockField3D rho;       ///< density anomaly (kg/m^3)
   halo::BlockField3D pressure;  ///< hydrostatic pressure anomaly / rho0 (m^2/s^2)
-  halo::BlockField3D w;         ///< vertical velocity at T-cell TOP faces (m/s)
   halo::BlockField3D kappa_m;   ///< vertical viscosity at cell BOTTOM faces
   halo::BlockField3D kappa_t;   ///< vertical diffusivity at cell BOTTOM faces
   halo::BlockField3D fu_tend;   ///< momentum tendency, zonal

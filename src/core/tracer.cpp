@@ -347,6 +347,9 @@ void tracer_hdiff(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
     double coeff = dt * cfg.effective_diffusivity(dx_mean);
     if (cfg.hmix == HMixScheme::Biharmonic) {
       // lap(q) over interior + 1 ring, then -A4 * lap(lap(q)).
+      if (!ws.hmix_lap.view().valid()) {
+        ws.hmix_lap = halo::BlockField3D("hmix_lap", g.extent(), g.nz());
+      }
       kxx::MDRangePolicy3 ring1({0, 1, 1}, {g.nz(), g.ny_total() - 1, g.nx_total() - 1});
       trc::LapFieldK lf{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
                         cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),

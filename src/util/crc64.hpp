@@ -15,6 +15,12 @@ namespace licomk::util {
 /// CRC of one contiguous buffer.
 std::uint64_t crc64(const void* data, std::size_t bytes);
 
+/// crc64(A ‖ B) from crc64(A), crc64(B) and |B| in bytes, without touching
+/// the data: CRC(A ‖ B) = CRC(A)·x^(8|B|) ⊕ CRC(B) mod P (zlib's crc32_combine
+/// scheme at 64 bits). Costs about a microsecond, independent of |A|.
+/// Throws InvalidArgument for len_b >= 2^61.
+std::uint64_t crc64_combine(std::uint64_t crc_a, std::uint64_t crc_b, std::uint64_t len_b);
+
 /// Streaming interface for multi-buffer payloads (checkpoint fields are
 /// checksummed view-by-view without staging a copy).
 class Crc64 {

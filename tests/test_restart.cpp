@@ -4,13 +4,18 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "comm/runtime.hpp"
 #include "core/model.hpp"
 #include "core/restart.hpp"
+#include "crc64_oracle.hpp"
 #include "kxx/kxx.hpp"
 #include "resilience/fault_injector.hpp"
 
@@ -34,6 +39,22 @@ struct TempPrefix {
     for (int r = 0; r < ranks; ++r) std::remove(lc::restart_rank_path(prefix, r).c_str());
   }
 };
+
+/// The .lrs v3 layout: a 72-byte header whose last 8 bytes are the payload
+/// CRC, then the per-field CRC table, then the fields in table order.
+constexpr std::size_t kHeaderBytes = 72;
+constexpr std::size_t kPayloadCrcOffset = 64;
+
+std::vector<unsigned char> slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<unsigned char>(std::istreambuf_iterator<char>(in), {});
+}
+
+std::uint64_t load_u64(const unsigned char* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
 
 /// Overwrite a restart file's interior shape in place: three int32s (nx, ny,
 /// nz) after the 8-byte magic and the int32 version. The payload CRC does not
@@ -215,6 +236,66 @@ TEST(Restart, CrcDetectsBitFlipAndTruncation) {
   ASSERT_TRUE(lc::verify_restart(path).has_value());
   licomk::resilience::tear_file(path, 0.6);
   EXPECT_FALSE(lc::verify_restart(path).has_value());
+}
+
+TEST(Restart, OnDiskCrcsEqualBytewiseOracle) {
+  kxx::initialize({kxx::Backend::Serial, 1, false});
+  TempPrefix tp("oracle", 1);
+  lc::LicomModel m(small_config());
+  m.run_days(0.25);
+  m.write_restart(tp.prefix);
+  const auto file = slurp(lc::restart_rank_path(tp.prefix, 0));
+
+  // In-memory field bytes, in the canonical table order.
+  std::vector<std::pair<const double*, std::size_t>> fields;
+  for (const auto* f : lc::prognostic_fields3(m.state())) {
+    fields.emplace_back(f->view().data(), f->view().size() * sizeof(double));
+  }
+  for (const auto* f : lc::prognostic_fields2(m.state())) {
+    fields.emplace_back(f->view().data(), f->view().size() * sizeof(double));
+  }
+  std::size_t field_bytes = 0;
+  for (const auto& f : fields) field_bytes += f.second;
+  const std::size_t table_bytes = fields.size() * sizeof(std::uint64_t);
+  ASSERT_EQ(file.size(), kHeaderBytes + table_bytes + field_bytes);
+
+  // The payload CRC covers every byte after the header.
+  EXPECT_EQ(load_u64(file.data() + kPayloadCrcOffset),
+            licomk_test::crc64_bytewise(file.data() + kHeaderBytes, file.size() - kHeaderBytes));
+  // Each table entry is the CRC of its field, on disk and in memory.
+  std::size_t at = kHeaderBytes + table_bytes;
+  for (std::size_t n = 0; n < fields.size(); ++n) {
+    const std::uint64_t entry = load_u64(file.data() + kHeaderBytes + n * sizeof(std::uint64_t));
+    EXPECT_EQ(entry, licomk_test::crc64_bytewise(file.data() + at, fields[n].second)) << n;
+    EXPECT_EQ(entry, licomk_test::crc64_bytewise(fields[n].first, fields[n].second)) << n;
+    at += fields[n].second;
+  }
+}
+
+TEST(Restart, RejectsFlippedHeaderPayloadCrcWithIntactData) {
+  kxx::initialize({kxx::Backend::Serial, 1, false});
+  TempPrefix tp("hdrcrc", 1);
+  lc::LicomModel m(small_config());
+  m.run_days(0.25);
+  m.write_restart(tp.prefix);
+  const std::string path = lc::restart_rank_path(tp.prefix, 0);
+  ASSERT_TRUE(lc::verify_restart(path).has_value());
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    char byte = 0;
+    f.seekg(kPayloadCrcOffset + 3);
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x20);
+    f.seekp(kPayloadCrcOffset + 3);
+    f.write(&byte, 1);
+    ASSERT_TRUE(f.good());
+  }
+  // Every field still matches its table entry; only the payload check can
+  // catch this, and on the read paths that check is the combined CRC.
+  EXPECT_FALSE(lc::verify_restart(path).has_value());
+  lc::LicomModel victim(small_config());
+  EXPECT_THROW(lc::read_restart(path, victim.local_grid(), victim.state()), licomk::Error);
+  EXPECT_THROW(lc::read_restart_raw(path), licomk::Error);
 }
 
 TEST(Restart, RejectsAbsurdHeaderShapeBeforeAllocating) {

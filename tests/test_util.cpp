@@ -1,11 +1,14 @@
 // Unit tests for util: config parsing, SYPD conversion, CRC64, statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <random>
 #include <vector>
 
+#include "crc64_oracle.hpp"
 #include "util/config.hpp"
 #include "util/crc64.hpp"
 #include "util/error.hpp"
@@ -13,6 +16,7 @@
 #include "util/sypd.hpp"
 
 namespace lu = licomk::util;
+using licomk_test::crc64_bytewise;
 
 TEST(Config, ParsesKeysSectionsAndComments) {
   auto cfg = lu::Config::from_string(R"(
@@ -86,6 +90,15 @@ TEST(Sypd, WallSecondsPerSimulatedDayInvertsSypd) {
   EXPECT_NEAR(w, 86400.0 / 365.0, 1e-9);
 }
 
+namespace {
+std::vector<unsigned char> random_bytes(std::size_t n, unsigned seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<unsigned char> buf(n);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng());
+  return buf;
+}
+}  // namespace
+
 TEST(Crc64, MatchesPinnedCheckValue) {
   // The CRC-64/XZ check value: crc of the ASCII digits "123456789".
   const char digits[] = "123456789";
@@ -115,6 +128,57 @@ TEST(Crc64, DetectsSingleBitFlipAndTruncation) {
   buf[200] ^= 0x10;
   EXPECT_NE(lu::crc64(buf.data(), buf.size() - 1), good);
   EXPECT_EQ(lu::crc64(buf.data(), buf.size()), good);
+}
+
+TEST(Crc64, SlicedBodyMatchesBytewiseOracleAtEveryLengthAndAlignment) {
+  const auto buf = random_bytes(64 + 8, 11);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const unsigned char* p = buf.data() + offset;
+      const std::uint64_t want = crc64_bytewise(p, len);
+      EXPECT_EQ(lu::crc64(p, len), want) << "offset " << offset << " len " << len;
+      // Streaming with a split at every byte offset of the buffer.
+      for (std::size_t cut = 0; cut <= len; ++cut) {
+        lu::Crc64 c;
+        c.update(p, cut);
+        c.update(p + cut, len - cut);
+        ASSERT_EQ(c.value(), want) << "offset " << offset << " len " << len << " cut " << cut;
+      }
+    }
+  }
+}
+
+TEST(Crc64, StreamingOverRandomSplitsOfOneMiBMatchesOracle) {
+  const auto buf = random_bytes(std::size_t{1} << 20, 12);
+  const std::uint64_t want = crc64_bytewise(buf.data(), buf.size());
+  EXPECT_EQ(lu::crc64(buf.data(), buf.size()), want);
+  std::mt19937_64 rng(13);
+  for (int trial = 0; trial < 8; ++trial) {
+    lu::Crc64 c;
+    std::size_t at = 0;
+    while (at < buf.size()) {
+      const std::size_t step = std::min<std::size_t>(buf.size() - at, rng() % 70000);
+      c.update(buf.data() + at, step);
+      at += step;
+    }
+    EXPECT_EQ(c.value(), want) << "trial " << trial;
+  }
+}
+
+TEST(Crc64, CombineEqualsDirectCrcOfConcatenation) {
+  const std::size_t lens[] = {0, 1, 7, 8, 9, 63, 1000, 65537, 200003};
+  const auto buf = random_bytes(2 * 200003, 14);
+  for (std::size_t la : lens) {
+    for (std::size_t lb : lens) {
+      const unsigned char* a = buf.data();
+      const unsigned char* b = buf.data() + la;
+      const std::uint64_t crc_a = crc64_bytewise(a, la);
+      const std::uint64_t crc_b = crc64_bytewise(b, lb);
+      EXPECT_EQ(lu::crc64_combine(crc_a, crc_b, lb), crc64_bytewise(a, la + lb))
+          << "|A| " << la << " |B| " << lb;
+    }
+  }
+  EXPECT_THROW(lu::crc64_combine(0, 0, std::uint64_t{1} << 61), licomk::InvalidArgument);
 }
 
 TEST(Stats, RunningStatsMatchesDirectComputation) {
