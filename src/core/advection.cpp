@@ -196,8 +196,8 @@ struct FusedLowOrderPair {
   }
 
   /// Packed form, and through pack_op<1> the scalar body (AthreadSim, pack
-  /// width 1, partial i-tails), in the RFactors style: int lane masks from
-  /// kmt, unmasked loads (every ±1 neighbor of a full pack lies inside the
+  /// width 1, partial i-tails), in the RFactors style: lane masks from kmt,
+  /// unmasked loads (every ±1 neighbor of a full pack lies inside the
   /// allocation), bitwise selects. No LevelsRef at the dispatch: inactive
   /// cells still write the passthrough qtd = q, exactly as LowOrder's
   /// early-out does.
@@ -211,17 +211,15 @@ struct FusedLowOrderPair {
         return;
       }
     }
-    int act[N], bot[N];  // lo_t(k) guard is k > 0 (plane-uniform) and act
-    int any = 0;
+    kxx::Mask<N> act, bot;  // lo_t(k) guard is k > 0 (plane-uniform) and act
     for (int l = 0; l < N; ++l) {
       const int kc = g.kmt(j, i0 + l);
-      act[l] = k < kc;
-      bot[l] = k + 1 < kc;  // lo_t(k + 1) guard
-      any |= act[l];
+      act.set(l, k < kc);
+      bot.set(l, k + 1 < kc);  // lo_t(k + 1) guard
     }
     const P qa_c = kxx::pack_load<N>(qa.ptr(k, j, i0));
     const P qb_c = kxx::pack_load<N>(qb.ptr(k, j, i0));
-    if (!any) {
+    if (act.none()) {
       kxx::pack_store<N>(qa_td.ptr(k, j, i0), qa_c);
       kxx::pack_store<N>(qb_td.ptr(k, j, i0), qb_c);
       return;
@@ -231,9 +229,7 @@ struct FusedLowOrderPair {
     // takes. The mask comes from the face flux sign, not the activity mask,
     // so dead lanes just compute values that the final select discards.
     auto upw = [](const P& vol, const P& q_from, const P& q_to) __attribute__((always_inline)) {
-      int pos[N];
-      for (int l = 0; l < N; ++l) pos[l] = vol[l] > 0.0;
-      return kxx::select(pos, vol * q_from, vol * q_to);
+      return kxx::select(vol > 0.0, vol * q_from, vol * q_to);
     };
     const P fe_c = kxx::pack_load<N>(fe.ptr(k, j, i0));
     const P fe_w = kxx::pack_load<N>(fe.ptr(k, j, i0 - 1));
@@ -317,10 +313,10 @@ struct AntiDiffTop {
 
 /// Stage 3 (after the q_td halo update): Zalesak limiter factors per cell.
 ///
-/// Packed across i. Lane masks are int[N] and every select/min/max is a
-/// kxx::select/min/max lane loop in straight-line code: the same chain built
-/// from Mask<N> blends through outlined lambdas lowers to scalar vminsd per
-/// lane and runs slower than the scalar kernel (DESIGN.md §12.1). kxx::min/
+/// Packed across i. Lane masks are Mask<N> (64-bit lanes) and every
+/// select/min/max is a kxx::select/min/max lane loop in straight-line code:
+/// the same chain through outlined lambdas lowers to scalar vminsd per lane
+/// and runs slower than the scalar kernel (DESIGN.md §12.1). kxx::min/
 /// max follow std::min/std::max exactly, and std::max({a, b, c}) folds left
 /// as max(max(a, b), c), so each lane is bit-identical to the scalar std::
 /// expressions. The scalar body is pack_op<1> (AthreadSim, pack width 1,
@@ -348,22 +344,20 @@ struct RFactors {
     // Activity of the cell and of each neighbor the extrema consider. The
     // planes above the surface and below the last level are plane-uniform
     // (k is the same in every lane) and skipped outright.
-    int act[N], m_w[N], m_e[N], m_s[N], m_n[N], m_up[N], m_dn[N];
-    int any = 0;
+    kxx::Mask<N> act, m_w, m_e, m_s, m_n, m_up, m_dn;
     for (int l = 0; l < N; ++l) {
       const long long i = i0 + l;
       const int kc = g.kmt(j, i);
-      act[l] = k < kc;
-      m_w[l] = k < g.kmt(j, i - 1);
-      m_e[l] = k < g.kmt(j, i + 1);
-      m_s[l] = k < g.kmt(j - 1, i);
-      m_n[l] = k < g.kmt(j + 1, i);
-      m_up[l] = k - 1 < kc;
-      m_dn[l] = k + 1 < kc;
-      any |= act[l];
+      act.set(l, k < kc);
+      m_w.set(l, k < g.kmt(j, i - 1));
+      m_e.set(l, k < g.kmt(j, i + 1));
+      m_s.set(l, k < g.kmt(j - 1, i));
+      m_n.set(l, k < g.kmt(j + 1, i));
+      m_up.set(l, k - 1 < kc);
+      m_dn.set(l, k + 1 < kc);
     }
     const P zero(0.0);
-    if (!any) {
+    if (act.none()) {
       kxx::pack_store<N>(rp.ptr(k, j, i0), zero);
       kxx::pack_store<N>(rm.ptr(k, j, i0), zero);
       return;
@@ -375,7 +369,7 @@ struct RFactors {
     // Straight-line calls, forced inline: left to itself GCC outlines a
     // lambda this size (or keeps a loop over a neighbor table rolled) and
     // then lowers the packs to scalar lanes spilled through memory.
-    auto consider = [&](const int(&m)[N], const double* qp, const double* tp)
+    auto consider = [&](const kxx::Mask<N>& m, const double* qp, const double* tp)
                         __attribute__((always_inline)) {
       const P qn = kxx::pack_load<N>(qp);
       const P tn = kxx::pack_load<N>(tp);
@@ -404,13 +398,8 @@ struct RFactors {
     const P q_plus = (qmax - t_c) * vol;
     const P q_minus = (t_c - qmin) * vol;
     const P one(1.0);
-    int pos_p[N], pos_m[N];
-    for (int l = 0; l < N; ++l) {
-      pos_p[l] = p_plus[l] > 0.0;
-      pos_m[l] = p_minus[l] > 0.0;
-    }
-    const P r_p = kxx::select(pos_p, kxx::min(one, q_plus / p_plus), zero);
-    const P r_m = kxx::select(pos_m, kxx::min(one, q_minus / p_minus), zero);
+    const P r_p = kxx::select(p_plus > 0.0, kxx::min(one, q_plus / p_plus), zero);
+    const P r_m = kxx::select(p_minus > 0.0, kxx::min(one, q_minus / p_minus), zero);
     kxx::pack_store<N>(rp.ptr(k, j, i0), kxx::select(act, r_p, zero));
     kxx::pack_store<N>(rm.ptr(k, j, i0), kxx::select(act, r_m, zero));
   }
@@ -439,17 +428,15 @@ struct Correct {
         return;
       }
     }
-    int act[N], top[N], bot[N];
-    int any = 0;
+    kxx::Mask<N> act, top, bot;
     for (int l = 0; l < N; ++l) {
       const int kc = g.kmt(j, i0 + l);
-      act[l] = k < kc;
-      top[l] = k > 0 && k < kc;  // limited_t(k) guard
-      bot[l] = k + 1 < kc;       // limited_t(k + 1) guard
-      any |= act[l];
+      act.set(l, k < kc);
+      top.set(l, k > 0 && k < kc);  // limited_t(k) guard
+      bot.set(l, k + 1 < kc);       // limited_t(k + 1) guard
     }
     const P q_c = kxx::pack_load<N>(q.ptr(k, j, i0));
-    if (!any) {
+    if (act.none()) {
       kxx::pack_store<N>(qout.ptr(k, j, i0), q_c);
       return;
     }
@@ -458,9 +445,7 @@ struct Correct {
     // r- upstream) for a >= 0, else min(r+ upstream, r- downstream).
     auto limited = [](const P& a, const P& rp_to, const P& rm_from, const P& rp_from,
                       const P& rm_to) __attribute__((always_inline)) {
-      int fwd[N];
-      for (int l = 0; l < N; ++l) fwd[l] = a[l] >= 0.0;
-      return kxx::select(fwd, kxx::min(rp_to, rm_from), kxx::min(rp_from, rm_to)) * a;
+      return kxx::select(a >= 0.0, kxx::min(rp_to, rm_from), kxx::min(rp_from, rm_to)) * a;
     };
     const P rp_c = kxx::pack_load<N>(rp.ptr(k, j, i0));
     const P rm_c = kxx::pack_load<N>(rm.ptr(k, j, i0));

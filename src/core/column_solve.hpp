@@ -52,13 +52,13 @@ inline void implicit_vertical_solve_packed(const int (&nlev)[N], double dt,
   // Build row k and eliminate it against row k-1 in one pass. The level
   // spacings are shared by every lane; each lane's coefficient expressions
   // are the scalar ones, so lam_up/lam_dn/b/c/m match bit for bit. Lane
-  // conditions are int masks applied by kxx::select after the arithmetic
+  // conditions are Mask<N> lanes applied by kxx::select after the arithmetic
   // (DESIGN.md §12.1), and the previous row's pivot, super-diagonal and
   // solutions ride along as packs, so each level stays a handful of N-wide
   // operations. Row 0 has no coupling above (nmax >= 2, so it always has
   // one below); the bottom row reads no face below it.
-  int below[N];  // lane has a face below row k
-  for (int l = 0; l < N; ++l) below[l] = 0 < n[l] - 1;
+  kxx::Mask<N> below;  // lane has a face below row k
+  for (int l = 0; l < N; ++l) below.set(l, 0 < n[l] - 1);
   const P lam_dn0 =
       kxx::select(below, dt * kxx::pack_load<N>(kappa_face) / (dz[0] * (zc[1] - zc[0])), zero);
   P b_prev = 1.0 + zero + lam_dn0;
@@ -68,10 +68,10 @@ inline void implicit_vertical_solve_packed(const int (&nlev)[N], double dt,
   P x_prev[R];
   for (int r = 0; r < R; ++r) x_prev[r] = kxx::pack_load<N>(x[r]);
   for (int k = 1; k < nmax; ++k) {
-    int live[N];
+    kxx::Mask<N> live;
     for (int l = 0; l < N; ++l) {
-      live[l] = k < n[l];
-      below[l] = k < n[l] - 1;
+      live.set(l, k < n[l]);
+      below.set(l, k < n[l] - 1);
     }
     const P lam_up = kxx::select(
         live, dt * kxx::pack_load<N>(kappa_face + (k - 1) * N) / (dz[k] * (zc[k] - zc[k - 1])),
@@ -100,10 +100,10 @@ inline void implicit_vertical_solve_packed(const int (&nlev)[N], double dt,
   // Back substitution: a lane's bottom row divides by its pivot, the rows
   // above it subtract the coupling to the row below first.
   for (int k = nmax - 1; k >= 0; --k) {
-    int live[N], last[N];
+    kxx::Mask<N> live, last;
     for (int l = 0; l < N; ++l) {
-      live[l] = k < n[l];
-      last[l] = k == n[l] - 1;
+      live.set(l, k < n[l]);
+      last.set(l, k == n[l] - 1);
     }
     const P bk = kxx::pack_load<N>(b + k * N);
     const P ck = kxx::pack_load<N>(c + k * N);

@@ -234,10 +234,13 @@ struct FusedTendencyMeanK {
   }
 
   /// Packed form over N adjacent corners. Stencil math runs as Pack ops
-  /// (lane order = scalar order); the branchy pieces — surface forcing at
-  /// k == 0, bottom drag at each lane's own deepest level, the mean
-  /// accumulators — stay lane-scalar under their masks so no spurious FP op
-  /// ever touches an accumulator (even x += 0.0 can flip a signed zero).
+  /// (lane order = scalar order). Bottom drag at each lane's own deepest
+  /// level and the mean accumulators are selects between the updated and the
+  /// untouched value: the discarded sum lives only in the select's other arm,
+  /// so it never reaches memory or a kept register, and a dead lane keeps its
+  /// accumulator's exact bits (an unconditional x += 0.0 could flip a signed
+  /// zero). The surface forcing at k == 0 stays lane-scalar (branchy
+  /// transcendental climatology).
   ///
   /// Loads are never masked here: with a full tail every lane's address is
   /// inside the dense (nz, ny_total, nx_total) allocation at every k, so
@@ -299,24 +302,26 @@ struct FusedTendencyMeanK {
                       (v_n - 2.0 * vc + v_s) * inv_dy * inv_dy;
       P gu = -dpdx - (uc * dudx + vc * dudy) + viscosity * lap_u;
       P gv = -dpdy - (uc * dvdx + vc * dvdy) + viscosity * lap_v;
-      if (k < nmin) {
-        // Every lane live: no masks on this plane at all.
-        if (k == 0) {
-          for (int l = 0; l < N; ++l) {
-            SurfaceForcing f =
-                climatological_forcing(lon(j, i0 + l), lat(j, i0 + l), day_of_year);
-            gu[l] += wind_scale * f.tau_x / (kRho0 * dz[0]);
-            gv[l] += wind_scale * f.tau_y / (kRho0 * dz[0]);
-          }
+      if (k == 0) {
+        // Wind stress enters the live surface cells (lane-scalar forcing).
+        P tau_u, tau_v;
+        for (int l = 0; l < N; ++l) {
+          if (nlev[l] == 0) continue;
+          SurfaceForcing f =
+              climatological_forcing(lon(j, i0 + l), lat(j, i0 + l), day_of_year);
+          tau_u[l] = wind_scale * f.tau_x / (kRho0 * dz[0]);
+          tau_v[l] = wind_scale * f.tau_y / (kRho0 * dz[0]);
         }
-        if (k >= nmin - 1) {  // no lane can bottom out above the shallowest
-          for (int l = 0; l < N; ++l) {
-            if (k == nlev[l] - 1) {
-              gu[l] -= bottom_drag * uc[l] / dz[k];
-              gv[l] -= bottom_drag * vc[l] / dz[k];
-            }
-          }
-        }
+        gu += tau_u;
+        gv += tau_v;
+      }
+      if (k >= nmin - 1) {  // no lane can bottom out above the shallowest
+        kxx::Mask<N> last;
+        for (int l = 0; l < N; ++l) last.set(l, k == nlev[l] - 1);
+        gu = kxx::select(last, gu - bottom_drag * uc / dz[k], gu);
+        gv = kxx::select(last, gv - bottom_drag * vc / dz[k], gv);
+      }
+      if (k < nmin) {  // every lane live: no masks on this plane
         kxx::pack_store<N>(fu.ptr(k, j, i0), gu);
         kxx::pack_store<N>(fv.ptr(k, j, i0), gv);
         num_u += gu * dz[k];
@@ -325,32 +330,15 @@ struct FusedTendencyMeanK {
         continue;
       }
       // Mixed plane: some lanes below bottom. Math above already ran on all
-      // lanes; dead lanes store 0 and never touch the accumulators.
+      // lanes; dead lanes store 0 and keep their accumulators.
       kxx::Mask<N> mk;
       for (int l = 0; l < N; ++l) mk.set(l, k < nlev[l]);
-      if (k == 0) {
-        for (int l = 0; l < N; ++l) {
-          if (!mk[l]) continue;
-          SurfaceForcing f =
-              climatological_forcing(lon(j, i0 + l), lat(j, i0 + l), day_of_year);
-          gu[l] += wind_scale * f.tau_x / (kRho0 * dz[0]);
-          gv[l] += wind_scale * f.tau_y / (kRho0 * dz[0]);
-        }
-      }
-      for (int l = 0; l < N; ++l) {
-        if (mk[l] && k == nlev[l] - 1) {
-          gu[l] -= bottom_drag * uc[l] / dz[k];
-          gv[l] -= bottom_drag * vc[l] / dz[k];
-        }
-      }
-      kxx::pack_store<N>(fu.ptr(k, j, i0), kxx::blend(mk, gu, 0.0));
-      kxx::pack_store<N>(fv.ptr(k, j, i0), kxx::blend(mk, gv, 0.0));
-      for (int l = 0; l < N; ++l) {
-        if (!mk[l]) continue;
-        num_u[l] += gu[l] * dz[k];
-        num_v[l] += gv[l] * dz[k];
-        den[l] += dz[k];
-      }
+      const P zero(0.0);
+      kxx::pack_store<N>(fu.ptr(k, j, i0), kxx::select(mk, gu, zero));
+      kxx::pack_store<N>(fv.ptr(k, j, i0), kxx::select(mk, gv, zero));
+      num_u = kxx::select(mk, num_u + gu * dz[k], num_u);
+      num_v = kxx::select(mk, num_v + gv * dz[k], num_v);
+      den = kxx::select(mk, den + P(dz[k]), den);
     }
     P ub, vb;
     for (int l = 0; l < N; ++l) {
@@ -529,8 +517,8 @@ struct BclincColumnK {
       P mv = zero;
       P hsum = zero;
       for (int k = 0; k < nmax; ++k) {
-        int live[N];
-        for (int l = 0; l < N; ++l) live[l] = k < nlev[l];
+        kxx::Mask<N> live;
+        for (int l = 0; l < N; ++l) live.set(l, k < nlev[l]);
         mu = kxx::select(live, mu + kxx::pack_load<N>(un + k * N) * dz[k], mu);
         mv = kxx::select(live, mv + kxx::pack_load<N>(vn + k * N) * dz[k], mv);
         hsum = kxx::select(live, hsum + dz[k], hsum);
@@ -538,8 +526,8 @@ struct BclincColumnK {
       const P du = kxx::pack_load<N>(ubar_avg.ptr(j, i0)) - mu / hsum;
       const P dv = kxx::pack_load<N>(vbar_avg.ptr(j, i0)) - mv / hsum;
       for (int k = 0; k < nmax; ++k) {
-        int live[N];
-        for (int l = 0; l < N; ++l) live[l] = k < nlev[l];
+        kxx::Mask<N> live;
+        for (int l = 0; l < N; ++l) live.set(l, k < nlev[l]);
         const P u = kxx::pack_load<N>(un + k * N) + du;
         const P v = kxx::pack_load<N>(vn + k * N) + dv;
         kxx::pack_store<N>(u_new.ptr(k, j, i0), kxx::select(live, u, zero));

@@ -88,9 +88,10 @@ struct FusedHDiffPairK {
   /// dense allocation, so all loads are unmasked; HDiffK also reads every
   /// neighbor and multiplies by a zero conductance at land/below-bottom
   /// faces, so dead lanes compute the same discarded products. Partial-column
-  /// masking reduces to blended conductances plus an `act`-masked
-  /// read-modify-write store; partial tails (at most one pack per row) fall
-  /// back to pack_op<1> per live lane.
+  /// masking reduces to selected conductances plus an `act` select of the
+  /// read-modify-write store (dead lanes write back the value they read);
+  /// partial tails (at most one pack per row) fall back to pack_op<1> per
+  /// live lane.
   template <int N>
   void pack_op(long long k, long long j, long long i0, const kxx::Mask<N>& tail) const {
     using P = kxx::Pack<double, N>;
@@ -101,28 +102,33 @@ struct FusedHDiffPairK {
         return;
       }
     }
+    // A face is open when the cell across it is wet (and it is not the fold
+    // seam); a dead lane's conductances only feed the value the final
+    // select discards, so the face masks need not include `act`.
     kxx::Mask<N> act, me, mw, mn, ms;
+    const bool open_n = j != seam_j;
+    const bool open_s = j - 1 != seam_j;
     for (int l = 0; l < N; ++l) {
       const long long i = i0 + l;
-      const bool c = k < kmt(j, i);
-      act.m[l] = c;
-      me.m[l] = c && k < kmt(j, i + 1);
-      mw.m[l] = c && k < kmt(j, i - 1);
-      mn.m[l] = c && j != seam_j && k < kmt(j + 1, i);
-      ms.m[l] = c && (j - 1) != seam_j && k < kmt(j - 1, i);
+      act.set(l, k < kmt(j, i));
+      me.set(l, k < kmt(j, i + 1));
+      mw.set(l, k < kmt(j, i - 1));
+      mn.set(l, open_n & (k < kmt(j + 1, i)));
+      ms.set(l, open_s & (k < kmt(j - 1, i)));
     }
     if (act.none()) return;
     const double dzk = dz[k];
-    const P ce = kxx::blend(
-        me, kxx::pack_load<N>(dyu.ptr(j, i0)) * dzk / kxx::pack_load<N>(dxt.ptr(j, i0)), 0.0);
-    const P cw = kxx::blend(
+    const P zero(0.0);
+    const P ce = kxx::select(
+        me, kxx::pack_load<N>(dyu.ptr(j, i0)) * dzk / kxx::pack_load<N>(dxt.ptr(j, i0)), zero);
+    const P cw = kxx::select(
         mw, kxx::pack_load<N>(dyu.ptr(j, i0 - 1)) * dzk / kxx::pack_load<N>(dxt.ptr(j, i0 - 1)),
-        0.0);
-    const P cn = kxx::blend(
-        mn, kxx::pack_load<N>(dxu.ptr(j, i0)) * dzk / kxx::pack_load<N>(dyt.ptr(j, i0)), 0.0);
-    const P cs = kxx::blend(
+        zero);
+    const P cn = kxx::select(
+        mn, kxx::pack_load<N>(dxu.ptr(j, i0)) * dzk / kxx::pack_load<N>(dyt.ptr(j, i0)), zero);
+    const P cs = kxx::select(
         ms, kxx::pack_load<N>(dxu.ptr(j - 1, i0)) * dzk / kxx::pack_load<N>(dyt.ptr(j - 1, i0)),
-        0.0);
+        zero);
     const P denom = kxx::pack_load<N>(area.ptr(j, i0)) * dzk;
 
     const P qa_c = kxx::pack_load<N>(qa.ptr(k, j, i0));
@@ -133,7 +139,8 @@ struct FusedHDiffPairK {
     const P div_a = ce * (qa_e - qa_c) - cw * (qa_c - qa_w) + cn * (qa_n - qa_c) -
                     cs * (qa_c - qa_s);
     const P acc_a = kxx::pack_load<N>(qa_acc.ptr(k, j, i0));
-    kxx::pack_store<N>(act, qa_acc.ptr(k, j, i0), acc_a + dt_ah * div_a / denom);
+    kxx::pack_store<N>(qa_acc.ptr(k, j, i0),
+                       kxx::select(act, acc_a + dt_ah * div_a / denom, acc_a));
 
     const P qb_c = kxx::pack_load<N>(qb.ptr(k, j, i0));
     const P qb_e = kxx::pack_load<N>(qb.ptr(k, j, i0 + 1));
@@ -143,7 +150,8 @@ struct FusedHDiffPairK {
     const P div_b = ce * (qb_e - qb_c) - cw * (qb_c - qb_w) + cn * (qb_n - qb_c) -
                     cs * (qb_c - qb_s);
     const P acc_b = kxx::pack_load<N>(qb_acc.ptr(k, j, i0));
-    kxx::pack_store<N>(act, qb_acc.ptr(k, j, i0), acc_b + dt_ah * div_b / denom);
+    kxx::pack_store<N>(qb_acc.ptr(k, j, i0),
+                       kxx::select(act, acc_b + dt_ah * div_b / denom, acc_b));
   }
 };
 
@@ -246,8 +254,8 @@ struct TracerPairColumnK {
       for (int k = 0; k < nmax; ++k) {
         const double absorbed = sw_frac[k] - sw_frac[k + 1];
         const double bottom = absorbed + sw_frac[k + 1];  // bottom cell absorbs the rest
-        int last[N];
-        for (int l = 0; l < N; ++l) last[l] = k == nlev[l] - 1;
+        kxx::Mask<N> last;
+        for (int l = 0; l < N; ++l) last.set(l, k == nlev[l] - 1);
         const P a = kxx::select(last, P(bottom), P(absorbed));
         kxx::pack_store<N>(tc + k * N, kxx::pack_load<N>(tc + k * N) + dq * a / dz[k]);
       }
@@ -263,8 +271,8 @@ struct TracerPairColumnK {
     double* const ts[2] = {tc, sc};
     implicit_vertical_solve_packed<N, 2>(nlev, dt, kf, dz, zc, ts);
     for (int k = 0; k < nmax; ++k) {
-      int live[N];
-      for (int l = 0; l < N; ++l) live[l] = k < nlev[l];
+      kxx::Mask<N> live;
+      for (int l = 0; l < N; ++l) live.set(l, k < nlev[l]);
       kxx::pack_store<N>(t.ptr(k, j, i0), kxx::select(live, kxx::pack_load<N>(tc + k * N),
                                                       kxx::pack_load<N>(t.ptr(k, j, i0))));
       kxx::pack_store<N>(s.ptr(k, j, i0), kxx::select(live, kxx::pack_load<N>(sc + k * N),

@@ -24,7 +24,7 @@ constexpr int kTagVmixResponse = 31;
 //
 // Every function below is the packed form of a scalar closure; its N = 1
 // instance IS the scalar function (canuto_sm, canuto_mixing, ...). Branches
-// become int[N] lane masks and bitwise kxx::select of both arms, each arm
+// become kxx::Mask<N> lane masks and bitwise kxx::select of both arms, each arm
 // the scalar branch's own expression, so every lane is bit-identical to the
 // branchy scalar code (DESIGN.md §12.1-12.2). std::clamp(v, lo, hi) is
 // std::min(std::max(v, lo), hi) and kxx::min/max follow std::min/max lane by
@@ -44,19 +44,15 @@ __attribute__((always_inline)) inline P<N> clamp(const P<N>& v, double lo, doubl
 /// would discard anyway: stable stratification (ri >= 0) is the common case,
 /// and the closure is bound by its divisions.
 template <int N>
-__attribute__((always_inline)) inline bool stable_lanes(const P<N>& ri, int (&stable)[N]) {
-  int all = 1;
-  for (int l = 0; l < N; ++l) {
-    stable[l] = ri[l] >= 0.0;
-    all &= stable[l];
-  }
-  return all != 0;
+__attribute__((always_inline)) inline bool stable_lanes(const P<N>& ri, kxx::Mask<N>& stable) {
+  stable = ri >= 0.0;
+  return stable.all();
 }
 
 template <int N>
 __attribute__((always_inline)) inline P<N> canuto_sm(const P<N>& ri_in) {
   const P<N> ri = clamp(ri_in, kRiMin, kRiMax);
-  int stable[N];
+  kxx::Mask<N> stable;
   const bool all_stable = stable_lanes(ri, stable);
   // Stable: rational quasi-equilibrium fit, neutral value 0.107, monotone
   // decay, effective cutoff near the closure's critical Ri (~1).
@@ -69,7 +65,7 @@ __attribute__((always_inline)) inline P<N> canuto_sm(const P<N>& ri_in) {
 template <int N>
 __attribute__((always_inline)) inline P<N> canuto_sh(const P<N>& ri_in) {
   const P<N> ri = clamp(ri_in, kRiMin, kRiMax);
-  int stable[N];
+  kxx::Mask<N> stable;
   const bool all_stable = stable_lanes(ri, stable);
   // Heat stability function decays faster than momentum: the turbulent
   // Prandtl number sm/sh grows with Ri, a signature of the Canuto closure.
@@ -99,8 +95,7 @@ __attribute__((always_inline)) inline void closure(VMixScheme scheme, const P<N>
     km = kxx::min(nu + kKappaBackgroundM, cap);
     kt = kxx::min(nu / denom + kKappaBackgroundT, cap);
   }
-  int convective[N];
-  for (int lane = 0; lane < N; ++lane) convective[lane] = n2[lane] < 0.0;
+  const kxx::Mask<N> convective = n2 < 0.0;
   const P<N> conv(kConvectiveKappa);
   km = kxx::select(convective, conv, km);
   kt = kxx::select(convective, conv, kt);
@@ -155,14 +150,10 @@ struct VMixK {
         return;
       }
     }
-    int live[N];
-    int any = 0;
-    for (int l = 0; l < N; ++l) {
-      live[l] = k + 1 < levels(j, i0 + l);
-      any |= live[l];
-    }
+    kxx::Mask<N> live;
+    for (int l = 0; l < N; ++l) live.set(l, k + 1 < levels(j, i0 + l));
     const P<N> zero(0.0);
-    if (!any) {
+    if (live.none()) {
       kxx::pack_store<N>(km.ptr(k, j, i0), zero);
       kxx::pack_store<N>(kt.ptr(k, j, i0), zero);
       return;
@@ -201,8 +192,7 @@ struct VMixShippedK {
         return;
       }
     }
-    int live[N];
-    for (int l = 0; l < N; ++l) live[l] = static_cast<double>(k + 1) < levels[c0 + l];
+    const kxx::Mask<N> live = static_cast<double>(k + 1) < kxx::pack_load<N>(levels + c0);
     double* first = planes + k * cols + c0;  // N² in, km out
     double* second = first + nface * cols;   // S² in, kt out
     P<N> km_p, kt_p;

@@ -11,6 +11,10 @@
 
 namespace licomk::halo::detail {
 
+/// One dispatch index per (a, b) row: the row's base addresses cost one
+/// division and one modulo, and the inner loop walks c on the box's own
+/// strides (negative across the fold, nk-strided in the Fig. 5
+/// vertical-major buffers).
 struct BoxCopy {
   const double* src = nullptr;
   double* dst = nullptr;
@@ -19,18 +23,18 @@ struct BoxCopy {
   long long ds0 = 0, ds1 = 0, ds2 = 0;
   double scale = 1.0;
 
-  void operator()(long long idx) const {
-    long long a = idx / (n1 * n2);
-    long long rem = idx % (n1 * n2);
-    long long b = rem / n2;
-    long long c = rem % n2;
-    dst[a * ds0 + b * ds1 + c * ds2] = scale * src[a * ss0 + b * ss1 + c * ss2];
+  void operator()(long long row) const {
+    const long long a = row / n1;
+    const long long b = row % n1;
+    const double* s = src + a * ss0 + b * ss1;
+    double* d = dst + a * ds0 + b * ds1;
+    for (long long c = 0; c < n2; ++c) d[c * ds2] = scale * s[c * ss2];
   }
 };
 
-/// Dispatch a BoxCopy over its full iteration space (n0 outer tiles).
+/// Dispatch a BoxCopy over its n0 * n1 rows (n0 outer tiles).
 inline void box_copy(const BoxCopy& op, long long n0) {
-  kxx::parallel_for("halo_box_copy", kxx::RangePolicy(0, n0 * op.n1 * op.n2), op);
+  kxx::parallel_for("halo_box_copy", kxx::RangePolicy(0, n0 * op.n1), op);
 }
 
 }  // namespace licomk::halo::detail

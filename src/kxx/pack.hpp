@@ -13,8 +13,8 @@
 // packed results are bit-identical to scalar execution (asserted end-to-end
 // in tests/test_pack.cpp and the model CRC matrix). Branchy per-lane physics
 // either computes both arms and keeps one per lane with kxx::select (upwind
-// selection, the vertical-mixing closure), each arm the scalar branch's own
-// expression, or stays lane-scalar inside the pack functor (surface forcing)
+// selection, the vertical-mixing closure, the FCT limiter), each arm the
+// scalar branch's own expression, or stays lane-scalar inside the pack functor (surface forcing)
 // for the same reason.
 #pragma once
 
@@ -24,56 +24,60 @@
 
 namespace licomk::kxx {
 
-/// Lane mask for a Pack of width N. Plain bools: the simulated target has no
-/// vector mask registers, and the compiler folds these into flag tests.
+/// Lane mask for a Pack of width N: one 64-bit lane per double lane, 0 for
+/// dead and all ones for live. A mask lane as wide as the lane it selects is
+/// what lets a compare, a mask combine and kxx::select stay one vector op
+/// each: narrower lanes (bool, int) must be widened and permuted to 64 bits
+/// before every select (DESIGN.md §12.1). Write lanes through set(); every
+/// operation here keeps each lane 0 or all ones.
 template <int N>
 struct Mask {
-  bool m[N] = {};
+  std::int64_t m[N] = {};
 
   static Mask all_true() {
     Mask r;
-    for (int l = 0; l < N; ++l) r.m[l] = true;
+    for (int l = 0; l < N; ++l) r.m[l] = -1;
     return r;
   }
   static Mask first(int k) {
     Mask r;
-    for (int l = 0; l < N; ++l) r.m[l] = l < k;
+    for (int l = 0; l < N; ++l) r.set(l, l < k);
     return r;
   }
 
-  bool operator[](int lane) const { return m[lane]; }
-  void set(int lane, bool v) { m[lane] = v; }
+  bool operator[](int lane) const { return m[lane] != 0; }
+  void set(int lane, bool v) { m[lane] = -static_cast<std::int64_t>(v); }
 
   int count() const {
     int c = 0;
-    for (int l = 0; l < N; ++l) c += m[l] ? 1 : 0;
+    for (int l = 0; l < N; ++l) c += static_cast<int>(m[l] & 1);
     return c;
   }
   bool any() const {
-    for (int l = 0; l < N; ++l)
-      if (m[l]) return true;
-    return false;
+    std::int64_t r = 0;
+    for (int l = 0; l < N; ++l) r |= m[l];
+    return r != 0;
   }
   bool all() const {
-    for (int l = 0; l < N; ++l)
-      if (!m[l]) return false;
-    return true;
+    std::int64_t r = -1;
+    for (int l = 0; l < N; ++l) r &= m[l];
+    return r != 0;
   }
   bool none() const { return !any(); }
 
   Mask operator&&(const Mask& o) const {
     Mask r;
-    for (int l = 0; l < N; ++l) r.m[l] = m[l] && o.m[l];
+    for (int l = 0; l < N; ++l) r.m[l] = m[l] & o.m[l];
     return r;
   }
   Mask operator||(const Mask& o) const {
     Mask r;
-    for (int l = 0; l < N; ++l) r.m[l] = m[l] || o.m[l];
+    for (int l = 0; l < N; ++l) r.m[l] = m[l] | o.m[l];
     return r;
   }
   Mask operator!() const {
     Mask r;
-    for (int l = 0; l < N; ++l) r.m[l] = !m[l];
+    for (int l = 0; l < N; ++l) r.m[l] = ~m[l];
     return r;
   }
 };
@@ -151,19 +155,19 @@ LICOMK_PACK_BINOP(/)
   template <typename T, int N>                                       \
   inline Mask<N> operator op(const Pack<T, N>& a, const Pack<T, N>& b) { \
     Mask<N> r;                                                       \
-    for (int l = 0; l < N; ++l) r.m[l] = a.d[l] op b.d[l];           \
+    for (int l = 0; l < N; ++l) r.set(l, a.d[l] op b.d[l]);          \
     return r;                                                        \
   }                                                                  \
   template <typename T, int N>                                       \
   inline Mask<N> operator op(const Pack<T, N>& a, T b) {             \
     Mask<N> r;                                                       \
-    for (int l = 0; l < N; ++l) r.m[l] = a.d[l] op b;                \
+    for (int l = 0; l < N; ++l) r.set(l, a.d[l] op b);               \
     return r;                                                        \
   }                                                                  \
   template <typename T, int N>                                       \
   inline Mask<N> operator op(T a, const Pack<T, N>& b) {             \
     Mask<N> r;                                                       \
-    for (int l = 0; l < N; ++l) r.m[l] = a op b.d[l];                \
+    for (int l = 0; l < N; ++l) r.set(l, a op b.d[l]);               \
     return r;                                                        \
   }
 
@@ -192,7 +196,7 @@ template <int N, typename T>
 inline Pack<T, N> pack_load(const Mask<N>& m, const T* p) {
   if (m.all()) return pack_load<N>(p);  // full pack: plain vectorizable loop
   Pack<T, N> r;
-  for (int l = 0; l < N; ++l) r.d[l] = m.m[l] ? p[l] : T{};
+  for (int l = 0; l < N; ++l) r.d[l] = m[l] ? p[l] : T{};
   return r;
 }
 
@@ -210,22 +214,7 @@ inline void pack_store(const Mask<N>& m, T* p, const Pack<T, N>& v) {
     return;
   }
   for (int l = 0; l < N; ++l)
-    if (m.m[l]) p[l] = v.d[l];
-}
-
-/// Masked assignment in registers: lane l takes a[l] where the mask is set,
-/// b[l] elsewhere.
-template <typename T, int N>
-inline Pack<T, N> blend(const Mask<N>& m, const Pack<T, N>& a, const Pack<T, N>& b) {
-  Pack<T, N> r;
-  for (int l = 0; l < N; ++l) r.d[l] = m.m[l] ? a.d[l] : b.d[l];
-  return r;
-}
-template <typename T, int N>
-inline Pack<T, N> blend(const Mask<N>& m, const Pack<T, N>& a, T b) {
-  Pack<T, N> r;
-  for (int l = 0; l < N; ++l) r.d[l] = m.m[l] ? a.d[l] : b;
-  return r;
+    if (m[l]) p[l] = v.d[l];
 }
 
 // --- per-lane math wrappers --------------------------------------------------
@@ -271,21 +260,23 @@ inline Pack<T, N> max(const Pack<T, N>& a, const Pack<T, N>& b) {
   return r;
 }
 
-/// Lane select on an int lane mask (nonzero = take a). Kernels with
-/// data-dependent selects build these masks as int[N] rather than Mask<N>:
-/// the bool array and a blend through a lambda are lowered lane by lane to
-/// scalar code, while int lanes compared and selected in plain loops become
-/// one vector compare and blend (DESIGN.md §12.1). The blend is bitwise, so
-/// the compiler has no lane branch to sink a division or load into — a
-/// ternary here lets it move `a`'s division under a per-lane branch (a
-/// division may trap, so it is never hoisted back out), which leaves the
-/// whole lane loop scalar. The bits are exactly the ternary's.
+/// Masked assignment in registers: lane l takes a[l] where the mask is set,
+/// b[l] elsewhere — the one lane select. Both arms are computed; pass a
+/// broadcast Pack for a scalar arm. The blend is bitwise on the mask's
+/// 64-bit lanes, so the compiler has no lane branch to sink a division or
+/// load into — a ternary here lets it move `a`'s division under a per-lane
+/// branch (a division may trap, so it is never hoisted back out), which
+/// leaves the whole lane loop scalar. The keep pattern is rebuilt as
+/// 0 - (m != 0) rather than taken from the lane as is: GCC sees through the
+/// raw lane to the compare that set it, turns the blend back into a ternary
+/// and sinks the arms into lane branches again. The bits are exactly the
+/// ternary's, NaN and signed-zero lanes included.
 template <int N>
-inline Pack<double, N> select(const int (&m)[N], const Pack<double, N>& a,
+inline Pack<double, N> select(const Mask<N>& m, const Pack<double, N>& a,
                               const Pack<double, N>& b) {
   Pack<double, N> r;
   for (int l = 0; l < N; ++l) {
-    const std::uint64_t keep = std::uint64_t{0} - static_cast<std::uint64_t>(m[l] != 0);
+    const std::uint64_t keep = std::uint64_t{0} - static_cast<std::uint64_t>(m.m[l] != 0);
     r.d[l] = std::bit_cast<double>((std::bit_cast<std::uint64_t>(a.d[l]) & keep) |
                                    (std::bit_cast<std::uint64_t>(b.d[l]) & ~keep));
   }
@@ -304,5 +295,9 @@ struct LevelsRef {
 
 using PackD4 = Pack<double, 4>;
 using PackD8 = Pack<double, 8>;
+
+// A mask lane is exactly as wide as the value lane it selects, so a mask
+// and a pack occupy the same vector register and select needs no widening.
+static_assert(sizeof(Mask<8>) == sizeof(Pack<double, 8>));
 
 }  // namespace licomk::kxx

@@ -235,7 +235,7 @@ void packed_rows(const MDRangePolicy<R>& p, const LevelsRef& kmt, const F& f, lo
       Mask<N> m;
       for (int l = 0; l < N; ++l) {
         long long i = i0 + l;
-        m.m[l] = i < p.end[di] && (!kmt.valid() || k < kmt(j, i));
+        m.set(l, i < p.end[di] && (!kmt.valid() || k < kmt(j, i)));
       }
       lanes.note(N, m.count());
       if constexpr (R == 3) {

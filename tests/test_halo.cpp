@@ -4,12 +4,16 @@
 // elimination, and the transpose operators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "comm/runtime.hpp"
+#include "halo/box_copy.hpp"
 #include "halo/halo_exchange.hpp"
 #include "halo/transpose.hpp"
 #include "kxx/kxx.hpp"
@@ -361,6 +365,87 @@ TEST(Transpose, WorksOnAthreadBackendViaRegistry) {
   lh::transpose_v2h(mid.data(), back.data(), nk, nj, ni);
   EXPECT_EQ(src, back);
   kxx::initialize({kxx::Backend::Serial, 1, false});
+}
+
+/// One BoxCopy case: extents plus both sides' signed strides.
+struct BoxCase {
+  long long n0, n1, n2;
+  long long ss0, ss1, ss2;
+  long long ds0, ds1, ds2;
+  double scale;
+};
+
+/// Lowest offset and span of a strided (n0, n1, n2) walk: negative strides
+/// (the fold) start the walk above the buffer's first element.
+std::pair<long long, long long> box_span(long long n0, long long n1, long long n2, long long s0,
+                                         long long s1, long long s2) {
+  long long lo = 0, hi = 0;
+  for (long long s : {s0 * (n0 - 1), s1 * (n1 - 1), s2 * (n2 - 1)}) {
+    lo += std::min(s, 0LL);
+    hi += std::max(s, 0LL);
+  }
+  return {lo, hi - lo + 1};
+}
+
+TEST(BoxCopy, RowsMatchElementwiseOracle) {
+  std::vector<BoxCase> cases;
+  // Packed horizontal-major source into a padded destination, with unit
+  // extents and a prime row length.
+  for (auto [n0, n1, n2] : {std::tuple{1LL, 1LL, 1LL}, std::tuple{3LL, 1LL, 7LL},
+                            std::tuple{1LL, 5LL, 1LL}, std::tuple{4LL, 3LL, 13LL},
+                            std::tuple{2LL, 7LL, 11LL}}) {
+    cases.push_back({n0, n1, n2, n1 * n2, n2, 1, n1 * (n2 + 3) + 2, n2 + 3, 1, 1.0});
+    // scale = -1 (the antisymmetric fold's sign flip) on the same walk.
+    cases.push_back({n0, n1, n2, n1 * n2, n2, 1, n1 * (n2 + 3) + 2, n2 + 3, 1, -1.0});
+  }
+  // Fold unpack: the destination walks backwards in both j and i.
+  cases.push_back({3, 2, 13, 2 * 13, 13, 1, 40 * 20, -20, -1, -1.0});
+  cases.push_back({1, 3, 5, 15, 5, 1, 0, -9, -1, 1.0});
+  // Fig. 5 vertical-major buffers: k fastest on the destination (pack), and
+  // on the source (unpack into a padded horizontal-major field).
+  cases.push_back({5, 3, 7, 3 * 7, 7, 1, 1, 7 * 5, 5, 1.0});
+  cases.push_back({5, 3, 7, 1, 7 * 5, 5, 9 * 12, 12, 1, 1.0});
+  cases.push_back({80, 2, 11, 1, 11 * 80, 80, 4 * 16, -16, -1, -1.0});
+
+  const kxx::InitConfig backends[] = {{kxx::Backend::Serial, 1, false},
+                                      {kxx::Backend::Threads, 3, false},
+                                      {kxx::Backend::AthreadSim, 1, /*athread_strict=*/true}};
+  for (const kxx::InitConfig& cfg : backends) {
+    kxx::initialize(cfg);
+    for (size_t n = 0; n < cases.size(); ++n) {
+      const BoxCase& c = cases[n];
+      const auto [src_lo, src_len] = box_span(c.n0, c.n1, c.n2, c.ss0, c.ss1, c.ss2);
+      const auto [dst_lo, dst_len] = box_span(c.n0, c.n1, c.n2, c.ds0, c.ds1, c.ds2);
+      std::vector<double> src(static_cast<size_t>(src_len));
+      for (size_t e = 0; e < src.size(); ++e)
+        src[e] = e % 5 == 0 ? -0.0 : std::sin(1.0 + static_cast<double>(e));
+      // Untouched destination cells keep a sentinel on both sides.
+      std::vector<double> want(static_cast<size_t>(dst_len), 12345.5);
+      std::vector<double> got = want;
+      const double* sp = src.data() - src_lo;
+      double* wp = want.data() - dst_lo;
+      for (long long a = 0; a < c.n0; ++a)
+        for (long long b = 0; b < c.n1; ++b)
+          for (long long e = 0; e < c.n2; ++e)
+            wp[a * c.ds0 + b * c.ds1 + e * c.ds2] =
+                c.scale * sp[a * c.ss0 + b * c.ss1 + e * c.ss2];
+      lh::detail::BoxCopy op;
+      op.src = sp;
+      op.dst = got.data() - dst_lo;
+      op.n1 = c.n1;
+      op.n2 = c.n2;
+      op.ss0 = c.ss0;
+      op.ss1 = c.ss1;
+      op.ss2 = c.ss2;
+      op.ds0 = c.ds0;
+      op.ds1 = c.ds1;
+      op.ds2 = c.ds2;
+      op.scale = c.scale;
+      lh::detail::box_copy(op, c.n0);
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(double)))
+          << "case " << n << " on " << kxx::backend_name(cfg.backend);
+    }
+  }
 }
 
 TEST(Halo, SplitPhaseMatchesMonolithicUpdate) {

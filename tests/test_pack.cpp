@@ -146,19 +146,30 @@ TEST(Pack, MathWrappersMatchScalarExpressions) {
   }
 }
 
-TEST(Pack, SelectOnIntMaskKeepsExactBits) {
+TEST(Pack, SelectOnMaskKeepsExactBits) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   P8 a, b;
-  int m[8];
   for (int l = 0; l < 8; ++l) {
     a[l] = l % 3 == 0 ? -0.0 : (l == 5 ? nan : 1.0 + l);
-    b[l] = l % 2 == 0 ? 0.0 : -2.0 * l;
-    m[l] = l % 2 == 0 ? 7 : 0;  // any nonzero lane selects a
+    b[l] = l % 2 == 0 ? 0.0 : (l == 7 ? -nan : -2.0 * l);
   }
-  const P8 r = kxx::select(m, a, b);
+  // Masks built from lane writes and from a comparison, over the same
+  // NaN/-0.0 operands: every lane must carry exactly the ternary's bits.
+  M8 by_set;
+  for (int l = 0; l < 8; ++l) by_set.set(l, l % 2 == 0);
+  const M8 by_cmp = b >= 0.0;  // lanes 0, 2, 4, 6 (0.0 >= 0.0); NaN compares false
+  for (const M8& m : {by_set, by_cmp, !by_set, M8::all_true(), M8::first(0)}) {
+    const P8 r = kxx::select(m, a, b);
+    for (int l = 0; l < 8; ++l) {
+      const double want = m[l] ? a[l] : b[l];
+      EXPECT_EQ(0, std::memcmp(&r.d[l], &want, sizeof want)) << "lane " << l;
+    }
+  }
+  for (int l = 0; l < 8; ++l) EXPECT_EQ(by_cmp[l], by_set[l]) << "lane " << l;
+  // A lane is all ones or all zeros, whichever way the mask was built.
   for (int l = 0; l < 8; ++l) {
-    const double want = m[l] ? a[l] : b[l];
-    EXPECT_EQ(0, std::memcmp(&r.d[l], &want, sizeof want)) << "lane " << l;
+    EXPECT_EQ(by_set.m[l], by_cmp.m[l]) << "lane " << l;
+    EXPECT_TRUE(by_set.m[l] == 0 || by_set.m[l] == -1) << "lane " << l;
   }
 }
 
@@ -192,8 +203,8 @@ TEST(Mask, FirstAndAllTrue) {
 TEST(Pack, BlendSelectsPerLane) {
   P8 a(2.0), b(7.0);
   M8 m = M8::first(5);
-  P8 r = kxx::blend(m, a, b);
-  P8 rs = kxx::blend(m, a, -1.0);
+  P8 r = kxx::select(m, a, b);
+  P8 rs = kxx::select(m, a, P8(-1.0));
   for (int l = 0; l < 8; ++l) {
     EXPECT_EQ(r[l], l < 5 ? 2.0 : 7.0);
     EXPECT_EQ(rs[l], l < 5 ? 2.0 : -1.0);

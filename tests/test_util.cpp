@@ -64,6 +64,92 @@ TEST(Config, RoundTripsThroughToString) {
   EXPECT_FALSE(re.get_bool("b"));
 }
 
+TEST(Config, SeededMutationsYieldConfigOrConfigError) {
+  // Deterministic fuzz of the parser and the typed getters: every mutated
+  // text must either parse, with every getter returning a value or throwing
+  // ConfigError, or fail to parse with ConfigError. Any other exception (or
+  // a sanitizer report) is a parser bug.
+  const std::string base =
+      "# run\nnx = 360\nny = 218\n[model]\nvmix = canuto  # closure\nratio = 2.5\n"
+      "flag = true\n[io]\nout = run.nc\ndays = 10\n";
+  const std::vector<std::string> tokens = {
+      "[",        "]",     "=",        "#",       "\n",     std::string(1, '\0'),
+      "[model",   "[]",    "  ",       "\r\n",    "99999999999999999999999",
+      "-99999999999999999999999",      "1e999",   "-1e999", "1e-400",
+      "nan",      "inf",   "0x1p3",    "+",       "-",      "1e",
+      "9223372036854775807",           "-9223372036854775808",
+      "9223372036854775808",           "true",    "= =",    "[a] = 1"};
+  std::mt19937_64 rng(0x5eedc0f1u);
+  auto pick = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+  int parsed = 0, rejected = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::vector<std::string> lines;
+    for (size_t a = 0, b; a < base.size(); a = b + 1) {
+      b = base.find('\n', a);
+      lines.push_back(base.substr(a, b - a));
+    }
+    const int edits = 1 + static_cast<int>(pick(4));
+    for (int e = 0; e < edits && !lines.empty(); ++e) {
+      std::string& line = lines[pick(lines.size())];
+      switch (pick(6)) {
+        case 0:  // random bytes, NULs and high bytes included
+          for (size_t r = pick(4) + 1; r > 0; --r)
+            line.insert(pick(line.size() + 1), 1, static_cast<char>(rng() & 0xff));
+          break;
+        case 1:  // truncated line
+          line.resize(pick(line.size() + 1));
+          break;
+        case 2:  // duplicated line
+          lines.insert(lines.begin() + static_cast<long>(pick(lines.size() + 1)),
+                       std::string(line));
+          break;
+        case 3:  // a token spliced in anywhere
+          line.insert(pick(line.size() + 1), tokens[pick(tokens.size())]);
+          break;
+        case 4:  // a value replaced by a token (numbers out of range, ...)
+          line = "k" + std::to_string(pick(3)) + " = " + tokens[pick(tokens.size())];
+          break;
+        default:  // an unterminated section header
+          line = "[" + line;
+          break;
+      }
+    }
+    std::string text;
+    for (const std::string& line : lines) text += line + "\n";
+    if (pick(4) == 0) text.resize(pick(text.size() + 1));  // truncated mid-line
+
+    lu::Config cfg;
+    try {
+      cfg = lu::Config::from_string(text);
+    } catch (const licomk::ConfigError&) {
+      ++rejected;
+      continue;
+    } catch (const std::exception& ex) {
+      ADD_FAILURE() << "iteration " << iter << ": from_string threw " << ex.what();
+      continue;
+    }
+    ++parsed;
+    for (const std::string& key : cfg.keys()) {
+      auto only_config_error = [&](const char* getter, auto&& get) {
+        try {
+          get();
+        } catch (const licomk::ConfigError&) {
+        } catch (const std::exception& ex) {
+          ADD_FAILURE() << "iteration " << iter << ": " << getter << "(\"" << key
+                        << "\") threw " << ex.what();
+        }
+      };
+      only_config_error("get_string", [&] { (void)cfg.get_string(key); });
+      only_config_error("get_int", [&] { (void)cfg.get_int(key); });
+      only_config_error("get_double", [&] { (void)cfg.get_double(key); });
+      only_config_error("get_bool", [&] { (void)cfg.get_bool(key); });
+    }
+  }
+  // The mutations must exercise both outcomes, or the fuzz proves nothing.
+  EXPECT_GT(parsed, 100);
+  EXPECT_GT(rejected, 100);
+}
+
 TEST(Sypd, Definition) {
   // Simulating exactly one year in exactly one day => 1 SYPD.
   EXPECT_NEAR(lu::sypd(365.0 * 86400.0, 86400.0), 1.0, 1e-12);
