@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-STAGED_KERNELS = ["dyn_tendency", "adv_flux_east", "adv_flux_north", "trc_hdiff"]
+STAGED_KERNELS = ["dyn_tendency", "adv_flux_east", "adv_flux_north", "trc_hdiff_pair"]
 MIN_TRANSFER_RATIO = 10
 
 

@@ -27,7 +27,8 @@ struct AdvectionWorkspace {
   halo::BlockField3D a_e, a_n, a_t;    ///< anti-diffusive tracer fluxes
   halo::BlockField3D q_td;             ///< low-order provisional field
   halo::BlockField3D r_plus, r_minus;  ///< Zalesak limiter factors
-  halo::BlockField3D hmix_lap;         ///< biharmonic first-pass Laplacian (allocated on first use)
+  /// Biharmonic first-pass Laplacians of t and s (allocated on first use).
+  halo::BlockField3D hmix_lap, hmix_lap_s;
 
   explicit AdvectionWorkspace(const LocalGrid& g);
 };

@@ -50,6 +50,8 @@ void compute_density_pressure_fused(const LocalGrid& g, bool linear_eos,
 /// fused column sweep packed over i (eliding vertical_mean's re-reads of
 /// fu/fv), or, where kxx::stages_through_ldm(), the LDM-staged per-kernel
 /// compute_momentum_tendencies + 2× vertical_mean. Bit-identical either way.
+/// This is the model's one backend fork: a column tile of the fused kernel
+/// needs more LDM than a CPE has (DESIGN.md §12).
 void compute_tendency_means(const LocalGrid& g, const ModelConfig& cfg,
                             const OceanState& state, double day_of_year, halo::BlockField3D& fu,
                             halo::BlockField3D& fv, halo::BlockField2D& gu_bar,

@@ -3,16 +3,67 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/field_ref.hpp"
+#include "kxx/kxx.hpp"
 #include "util/error.hpp"
+
+namespace licomk::core {
+namespace polar {
+
+/// One 1-2-1 zonal smoothing pass over the rows (rows[r], k) of up to
+/// kMaxFields fields, dispatched over (r, field, k); a 2-D field is the
+/// nz = 1 instance (plane unused). Each row is swept in i order: the flux
+/// through a cell's east face is computed from pre-pass values before that
+/// cell is updated, and carried to the next cell as its west-face flux. Land
+/// faces (either side below the level's bottom) carry no flux. The
+/// conservative form conducts by the mean face area and divides by the cell
+/// area, so ∑ q·A along a row is preserved to round-off.
+struct PolarFilterK {
+  /// The largest filtered group the model drives: the subcycle's η, ū, v̄.
+  static constexpr int kMaxFields = 3;
+
+  CI2 kmt;
+  CF2 area;
+  const int* rows = nullptr;  ///< local rows j (halo-inclusive) to smooth
+  long long i_begin = 0;      ///< interior i range [i_begin, i_end)
+  long long i_end = 0;
+  F3 q[kMaxFields];
+  int nz[kMaxFields] = {};
+  int conservative[kMaxFields] = {};
+
+  void operator()(long long r, long long f, long long k) const {
+    if (k >= nz[f]) return;
+    const long long j = rows[r];
+    const F3& qf = q[f];
+    const bool cons = conservative[f] != 0;
+    auto east_flux = [&](long long i) {
+      if (k >= kmt(j, i) || k >= kmt(j, i + 1)) return 0.0;
+      const double conduct = cons ? 0.125 * (area(j, i) + area(j, i + 1)) : 0.25;
+      return conduct * (qf(k, j, i + 1) - qf(k, j, i));
+    };
+    double west = east_flux(i_begin - 1);
+    for (long long i = i_begin; i < i_end; ++i) {
+      const double east = east_flux(i);
+      if (k < kmt(j, i)) {
+        const double div = east - west;
+        qf(k, j, i) += cons ? div / area(j, i) : div;
+      }
+      west = east;
+    }
+  }
+};
+
+}  // namespace polar
+}  // namespace licomk::core
+
+KXX_REGISTER_FOR_3D(polar_filter, licomk::core::polar::PolarFilterK);
 
 namespace licomk::core {
 
 namespace {
 constexpr int kMaxPasses = 12;
 constexpr int kH = decomp::kHaloWidth;
-}  // namespace
 
-namespace {
 /// Passes for a global row: ratio of the threshold-row spacing to this row's
 /// minimum spacing, scaled by `strength`. Pure function of the global grid,
 /// so every rank derives the same global pass schedule — the apply() loop
@@ -46,72 +97,42 @@ PolarFilter::PolarFilter(const LocalGrid& grid, double threshold_lat, double str
     int gj = e.j0 + (lj - kH);
     passes_[static_cast<size_t>(lj)] = passes_for_global_row(h, gj, threshold_lat, strength);
     local_max_passes_ = std::max(local_max_passes_, passes_[static_cast<size_t>(lj)]);
+    if (passes_[static_cast<size_t>(lj)] > 0) rows_.push_back(lj);
   }
+  std::stable_sort(rows_.begin(), rows_.end(), [&](int a, int b) {
+    return passes_[static_cast<size_t>(a)] > passes_[static_cast<size_t>(b)];
+  });
 }
 
-void PolarFilter::smooth_rows_2d(halo::BlockField2D& f, int pass, bool conservative) const {
-  const int nx = grid_.nx();
-  for (int j = kH; j < kH + grid_.ny(); ++j) {
-    if (passes_[static_cast<size_t>(j)] <= pass) continue;
-    // Compute fluxes from the pre-pass values, then apply: classic 1-2-1.
-    static thread_local std::vector<double> flux;
-    flux.assign(static_cast<size_t>(nx) + 1, 0.0);
-    for (int i = kH - 1; i < kH + nx; ++i) {
-      // Flux through the east face of cell i (land faces closed).
-      if (grid_.kmt(j, i) == 0 || grid_.kmt(j, i + 1) == 0) continue;
-      double conduct = conservative
-                           ? 0.125 * (grid_.area_t(j, i) + grid_.area_t(j, i + 1))
-                           : 0.25;
-      flux[static_cast<size_t>(i - (kH - 1))] = conduct * (f.at(j, i + 1) - f.at(j, i));
+void PolarFilter::smooth(const std::vector<FilteredField>& fields, int pass) const {
+  LICOMK_REQUIRE(fields.size() <= polar::PolarFilterK::kMaxFields,
+                 "PolarFilter smooths at most 3 fields together");
+  // rows_ runs from most passes to fewest, so the rows that still smooth at
+  // `pass` are a prefix of it; none (no dispatch) once pass >= local_max_passes_.
+  const long long n = std::partition_point(rows_.begin(), rows_.end(), [&](int j) {
+                        return passes_[static_cast<size_t>(j)] > pass;
+                      }) - rows_.begin();
+  polar::PolarFilterK k{cref(grid_.kmt_view()), cref(grid_.area_view()), rows_.data(), kH,
+                        kH + grid_.nx()};
+  int nz_max = 0;
+  for (size_t f = 0; f < fields.size(); ++f) {
+    const FilteredField& ff = fields[f];
+    if (ff.f2 != nullptr) {
+      // A 2-D field is the nz = 1 instance (its plane stride is never read).
+      k.q[f] = F3{ff.f2->view().data(), 0, ff.f2->nx_total()};
+      k.nz[f] = 1;
+      ff.f2->mark_dirty();
+    } else {
+      k.q[f] = mref(*ff.f3);
+      k.nz[f] = ff.f3->nz();
+      ff.f3->mark_dirty();
     }
-    for (int i = kH; i < kH + nx; ++i) {
-      if (grid_.kmt(j, i) == 0) continue;
-      double div = flux[static_cast<size_t>(i - kH + 1)] - flux[static_cast<size_t>(i - kH)];
-      f.at(j, i) += conservative ? div / grid_.area_t(j, i) : div;
-    }
+    k.conservative[f] = ff.conservative ? 1 : 0;
+    nz_max = std::max(nz_max, k.nz[f]);
   }
-}
-
-void PolarFilter::smooth_rows_3d(halo::BlockField3D& f, int pass, bool conservative) const {
-  const int nx = grid_.nx();
-  for (int j = kH; j < kH + grid_.ny(); ++j) {
-    if (passes_[static_cast<size_t>(j)] <= pass) continue;
-    for (int k = 0; k < f.nz(); ++k) {
-      static thread_local std::vector<double> flux;
-      flux.assign(static_cast<size_t>(nx) + 1, 0.0);
-      for (int i = kH - 1; i < kH + nx; ++i) {
-        if (k >= grid_.kmt(j, i) || k >= grid_.kmt(j, i + 1)) continue;
-        double conduct = conservative
-                             ? 0.125 * (grid_.area_t(j, i) + grid_.area_t(j, i + 1))
-                             : 0.25;
-        flux[static_cast<size_t>(i - (kH - 1))] = conduct * (f.at(k, j, i + 1) - f.at(k, j, i));
-      }
-      for (int i = kH; i < kH + nx; ++i) {
-        if (k >= grid_.kmt(j, i)) continue;
-        double div = flux[static_cast<size_t>(i - kH + 1)] - flux[static_cast<size_t>(i - kH)];
-        f.at(k, j, i) += conservative ? div / grid_.area_t(j, i) : div;
-      }
-    }
-  }
-}
-
-void PolarFilter::apply(halo::BlockField2D& f, halo::HaloExchanger& exchanger,
-                        halo::FoldSign sign, bool conservative) const {
-  if (max_passes_ == 0) return;
-  for (int pass = 0; pass < max_passes_; ++pass) {
-    smooth_rows_2d(f, pass, conservative);
-    f.mark_dirty();
-    exchanger.update(f, sign);
-  }
-}
-
-void PolarFilter::apply(halo::BlockField3D& f, halo::HaloExchanger& exchanger,
-                        halo::FoldSign sign, bool conservative) const {
-  if (max_passes_ == 0) return;
-  for (int pass = 0; pass < max_passes_; ++pass) {
-    smooth_rows_3d(f, pass, conservative);
-    f.mark_dirty();
-    exchanger.update(f, sign);
+  if (n > 0 && nz_max > 0) {
+    const long long nf = static_cast<long long>(fields.size());
+    kxx::parallel_for("polar_filter", kxx::MDRangePolicy3({0, 0, 0}, {n, nf, nz_max}), k);
   }
 }
 
@@ -119,15 +140,7 @@ void PolarFilter::apply(const std::vector<FilteredField>& fields,
                         halo::PersistentGroup& group) const {
   if (max_passes_ == 0 || fields.empty()) return;
   for (int pass = 0; pass < max_passes_; ++pass) {
-    for (const FilteredField& f : fields) {
-      if (f.f2 != nullptr) {
-        smooth_rows_2d(*f.f2, pass, f.conservative);
-        f.f2->mark_dirty();
-      } else {
-        smooth_rows_3d(*f.f3, pass, f.conservative);
-        f.f3->mark_dirty();
-      }
-    }
+    smooth(fields, pass);
     if (pass + 1 < max_passes_) {
       // A zonal refresh at pass p only matters if somebody on this row band
       // smooths at pass p+1. `passes_for_global_row` is a pure function of

@@ -7,7 +7,9 @@
 // of a threshold latitude instead. This module implements that filter as
 // repeated 1-2-1 zonal smoothing passes — an approximation of the classical
 // Fourier truncation — with the pass count growing as the zonal spacing
-// shrinks relative to the threshold row.
+// shrinks relative to the threshold row. Each pass is one kxx row kernel
+// (PolarFilterK) over the fields filtered together, so the filter runs on
+// every backend.
 //
 // Tracers and the free surface use the conservative (flux-form,
 // area-weighted) variant, so the filter preserves ∑ q·A along each row to
@@ -17,7 +19,6 @@
 #include <vector>
 
 #include "core/local_grid.hpp"
-#include "halo/halo_exchange.hpp"
 #include "halo/persistent_group.hpp"
 
 namespace licomk::core {
@@ -51,17 +52,13 @@ class PolarFilter {
   /// Number of smoothing passes applied to local halo-inclusive row `j`.
   int passes_for_row(int j) const { return passes_[static_cast<size_t>(j)]; }
 
-  /// Filter a 2-D field in place (interior rows; needs valid EW ghosts on
-  /// entry, refreshes the halo after each pass through `exchanger`).
-  /// `conservative` selects the area-weighted flux form.
-  void apply(halo::BlockField2D& f, halo::HaloExchanger& exchanger, halo::FoldSign sign,
-             bool conservative) const;
+  /// One smoothing pass of up to three fields together: one PolarFilterK
+  /// dispatch ("polar_filter") over the interior rows whose schedule smooths
+  /// at `pass` (none when no local row does). Reads the east/west ghosts of
+  /// those rows, refreshes no halo, and marks every field dirty.
+  void smooth(const std::vector<FilteredField>& fields, int pass) const;
 
-  /// Filter every level of a 3-D field in place.
-  void apply(halo::BlockField3D& f, halo::HaloExchanger& exchanger, halo::FoldSign sign,
-             bool conservative) const;
-
-  /// Filter a set of fields together, driven through an already-enrolled
+  /// Filter a set of up to three fields together, driven through an already-enrolled
   /// halo group (the model's subcycle, bclinc and tracer groups). The group
   /// must contain exactly the filtered fields. Intermediate passes refresh
   /// only the east/west ghosts (the 1-2-1 stencil reads nothing else), and
@@ -69,17 +66,15 @@ class PolarFilter {
   /// east/west partners — which share the same global rows, hence the same
   /// pass schedule — smooth again before the closing full exchange rebuilds
   /// every ghost. On exit every field's complete halo is valid and each field
-  /// is bit-identical to a sequence of single-field apply() calls (the
-  /// smoothing of each field is independent of the others).
+  /// is bit-identical to smoothing it alone with a full exchange after every
+  /// pass (the smoothing of each field is independent of the others).
   void apply(const std::vector<FilteredField>& fields,
              halo::PersistentGroup& group) const;
 
  private:
-  void smooth_rows_2d(halo::BlockField2D& f, int pass, bool conservative) const;
-  void smooth_rows_3d(halo::BlockField3D& f, int pass, bool conservative) const;
-
   const LocalGrid& grid_;
   std::vector<int> passes_;  ///< per local row (halo-inclusive indexing)
+  std::vector<int> rows_;    ///< local rows with passes, most passes first
   int max_passes_ = 0;
   int local_max_passes_ = 0;  ///< max of passes_ over locally owned rows
 };

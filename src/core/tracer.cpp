@@ -13,9 +13,10 @@
 namespace licomk::core {
 namespace trc {
 
-/// Flux-form Laplacian divergence of q at an active cell, the stencil HDiffK
-/// and LapFieldK share (`f` supplies kmt, the metrics, dz and seam_j). Face
-/// conductances are zero across land faces and the closed fold seam.
+/// Flux-form Laplacian divergence of q at an active cell, LapFieldK's stencil
+/// (`f` supplies kmt, the metrics, dz and seam_j); FusedHDiffPairK evaluates
+/// the same expression. Face conductances are zero across land faces and the
+/// closed fold seam.
 template <typename K>
 double laplacian_div(const K& f, const CF3& q, long long k, long long j, long long i) {
   auto cond_e = [&](long long jj, long long ii) {
@@ -32,40 +33,17 @@ double laplacian_div(const K& f, const CF3& q, long long k, long long j, long lo
          cond_n(j - 1, i) * (q(k, j, i) - q(k, j - 1, i));
 }
 
-/// Flux-form Laplacian horizontal diffusion added onto the advected field.
-/// No-flux across land faces by construction (face conductance zero).
-struct HDiffK {
-  CI2 kmt;
-  CF2 dxt, dyt, dxu, dyu, area;
-  CF3 q;     ///< pre-step tracer (diffusion operates on time level n)
-  F3 q_acc;  ///< advected field, incremented in place
-  const double* dz = nullptr;
-  double dt_ah = 0.0;  ///< dt * A_h
-  long long seam_j = -2;  ///< closed fold seam (see LocalGrid::seam_row)
-
-  /// LDM staging footprint: q carries the ±1 horizontal diffusion stencil.
-  /// q_acc is read-modify-write (below-bottom cells are skipped, so inout —
-  /// not out — preserves their values through the round trip).
-  void kxx_access(kxx::AccessSpec& a) const {
-    a.in(q).halo(1, 1, 1).halo(2, 1, 1);
-    a.inout(q_acc);
-  }
-
-  void operator()(long long k, long long j, long long i) const {
-    if (k >= kmt(j, i)) return;
-    q_acc(k, j, i) += dt_ah * laplacian_div(*this, q, k, j, i) / (area(j, i) * dz[k]);
-  }
-};
-
-/// Fused Laplacian diffusion of BOTH tracers in one sweep: the face
-/// conductances cond_e/cond_n depend only on geometry and k, so computing
-/// them once and applying them to t and s halves the metric/mask traffic the
-/// unfused per-tracer dispatches pay twice. Each tracer's increment is
-/// HDiffK's expression (laplacian_div) — bit-identical to two HDiffK passes.
+/// Flux-form horizontal diffusion of BOTH tracers in one sweep, added onto
+/// the advected fields: qa_acc += dt_ah * div(q) / (area * dz) with the
+/// laplacian_div stencil (no flux across land faces). The face conductances
+/// depend only on geometry and k, so they are computed once for t and s.
+/// The Laplacian passes t_cur/s_cur; the biharmonic passes the two
+/// LapFieldK fields with dt_ah = -dt * A4. On AthreadSim the scalar body
+/// stages through LDM (kxx_access).
 struct FusedHDiffPairK {
   CI2 kmt;
   CF2 dxt, dyt, dxu, dyu, area;
-  CF3 qa, qb;      ///< pre-step tracers (time level n): t, s
+  CF3 qa, qb;      ///< diffused fields of t and s (time level n, or its Laplacian)
   F3 qa_acc, qb_acc;  ///< advected fields, incremented in place
   const double* dz = nullptr;
   double dt_ah = 0.0;
@@ -85,13 +63,12 @@ struct FusedHDiffPairK {
   /// Packed form, dispatched on the plain i-tail mask (no LevelsRef), and
   /// through pack_op<1> the scalar body (pack width 1). With a full tail
   /// every lane address — including the ±1 stencil neighbors — is inside the
-  /// dense allocation, so all loads are unmasked; HDiffK also reads every
-  /// neighbor and multiplies by a zero conductance at land/below-bottom
-  /// faces, so dead lanes compute the same discarded products. Partial-column
-  /// masking reduces to selected conductances plus an `act` select of the
-  /// read-modify-write store (dead lanes write back the value they read);
-  /// partial tails (at most one pack per row) fall back to pack_op<1> per
-  /// live lane.
+  /// dense allocation, so all loads are unmasked, and every neighbor is
+  /// multiplied by a zero conductance at land/below-bottom faces, so dead
+  /// lanes compute discarded products. Partial-column masking reduces to
+  /// selected conductances plus an `act` select of the read-modify-write
+  /// store (dead lanes write back the value they read); partial tails (at
+  /// most one pack per row) fall back to pack_op<1> per live lane.
   template <int N>
   void pack_op(long long k, long long j, long long i0, const kxx::Mask<N>& tail) const {
     using P = kxx::Pack<double, N>;
@@ -156,10 +133,11 @@ struct FusedHDiffPairK {
 };
 
 /// First pass of the biharmonic operator: the flux-form Laplacian of q as a
-/// FIELD (not an increment). The second pass reuses HDiffK on this field
-/// with a negative coefficient: dq/dt = -A4 * lap(lap(q)). Two ghost layers
-/// make the whole ∇⁴ stencil computable without an extra halo exchange:
-/// this pass runs on interior + 1 ring, the second on the interior.
+/// FIELD (not an increment). The second pass is FusedHDiffPairK on the two
+/// tracers' fields with a negative coefficient: dq/dt = -A4 * lap(lap(q)).
+/// Two ghost layers make the whole ∇⁴ stencil computable without an extra
+/// halo exchange: this pass runs on interior + 1 ring, the second on the
+/// interior.
 struct LapFieldK {
   CI2 kmt;
   CF2 dxt, dyt, dxu, dyu, area;
@@ -284,7 +262,6 @@ struct TracerPairColumnK {
 }  // namespace trc
 }  // namespace licomk::core
 
-KXX_REGISTER_FOR_3D(trc_hdiff, licomk::core::trc::HDiffK);
 KXX_REGISTER_FOR_3D(trc_hdiff_pair, licomk::core::trc::FusedHDiffPairK);
 KXX_REGISTER_FOR_3D(trc_lap_field, licomk::core::trc::LapFieldK);
 KXX_REGISTER_FOR_2D(trc_column, licomk::core::trc::TracerPairColumnK);
@@ -327,52 +304,41 @@ void tracer_hdiff(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
   const auto& gh = g.global().h();
   const double dx_mean = gh.dx_t(gh.ny() / 2, gh.nx() / 2);
   const long long seam = g.seam_row() >= 0 ? g.seam_row() : -2;
-  // Single-plane tiles for the staged trc_hdiff dispatches (see dynamics.cpp).
+  // Single-plane tiles for the LDM-staged AthreadSim dispatch (see dynamics.cpp).
   kxx::MDRangePolicy3 interior3({0, h, h}, {g.nz(), h + g.ny(), h + g.nx()}, {1, 4, 64});
-
-  // Fused t+s Laplacian diffusion: one sweep computes the face conductances
-  // once for both tracers (bit-identical to the per-tracer HDiffK passes).
-  // Where kernels stage through LDM, the per-tracer HDiffK dispatches run
-  // instead: HDiffK carries the staging footprint. The biharmonic path also
-  // stays per-tracer: both tracers round-trip through the shared ws.hmix_lap
-  // scratch field, so their Laplacian passes cannot overlap.
-  if (cfg.hmix == HMixScheme::Laplacian && !kxx::stages_through_ldm()) {
-    trc::FusedHDiffPairK hp{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
-                            cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
-                            cref(state.t_cur),  cref(state.s_cur),
-                            mref(state.t_new),  mref(state.s_new),
-                            g.vertical().thicknesses().data(),
-                            dt * cfg.effective_diffusivity(dx_mean), seam};
-    kxx::parallel_for_packed("trc_hdiff_pair", interior3, hp);
-    // Elided: the second pass's re-reads of the 2-D metrics/mask (5 doubles +
-    // 3 kmt probes per face pair, counted as the five metric planes).
-    kxx::note_fusion_views_elided(5LL * g.ny() * g.nx() *
-                                  static_cast<long long>(sizeof(double)));
-    return;
-  }
-  for (int which = 0; which < 2; ++which) {
-    const halo::BlockField3D* q = which == 0 ? &state.t_cur : &state.s_cur;
-    double coeff = dt * cfg.effective_diffusivity(dx_mean);
-    if (cfg.hmix == HMixScheme::Biharmonic) {
-      // lap(q) over interior + 1 ring, then -A4 * lap(lap(q)).
-      if (!ws.hmix_lap.view().valid()) {
-        ws.hmix_lap = halo::BlockField3D("hmix_lap", g.extent(), g.nz());
-      }
-      kxx::MDRangePolicy3 ring1({0, 1, 1}, {g.nz(), g.ny_total() - 1, g.nx_total() - 1});
+  const halo::BlockField3D* qa = &state.t_cur;
+  const halo::BlockField3D* qb = &state.s_cur;
+  double coeff = dt * cfg.effective_diffusivity(dx_mean);
+  if (cfg.hmix == HMixScheme::Biharmonic) {
+    // lap(t) and lap(s) over interior + 1 ring, then -A4 * lap(lap(q)).
+    if (!ws.hmix_lap.view().valid()) {
+      ws.hmix_lap = halo::BlockField3D("hmix_lap", g.extent(), g.nz());
+      ws.hmix_lap_s = halo::BlockField3D("hmix_lap_s", g.extent(), g.nz());
+    }
+    kxx::MDRangePolicy3 ring1({0, 1, 1}, {g.nz(), g.ny_total() - 1, g.nx_total() - 1});
+    auto laplacian = [&](const halo::BlockField3D& q, halo::BlockField3D& lap) {
       trc::LapFieldK lf{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
                         cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
-                        cref(*q),           mref(ws.hmix_lap),
+                        cref(q),            mref(lap),
                         g.vertical().thicknesses().data(), seam};
       kxx::parallel_for("trc_lap_field", ring1, lf);
-      q = &ws.hmix_lap;
-      coeff = -dt * cfg.effective_biharmonic(dx_mean);
-    }
-    trc::HDiffK hd{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
-                   cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
-                   cref(*q),           mref(which == 0 ? state.t_new : state.s_new),
-                   g.vertical().thicknesses().data(), coeff, seam};
-    kxx::parallel_for("trc_hdiff", interior3, hd);
+    };
+    laplacian(state.t_cur, ws.hmix_lap);
+    laplacian(state.s_cur, ws.hmix_lap_s);
+    qa = &ws.hmix_lap;
+    qb = &ws.hmix_lap_s;
+    coeff = -dt * cfg.effective_biharmonic(dx_mean);
   }
+  trc::FusedHDiffPairK hp{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
+                          cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
+                          cref(*qa),          cref(*qb),
+                          mref(state.t_new),  mref(state.s_new),
+                          g.vertical().thicknesses().data(), coeff, seam};
+  kxx::parallel_for_packed("trc_hdiff_pair", interior3, hp);
+  // Elided: the second tracer's re-reads of the 2-D metrics/mask (5 doubles +
+  // 3 kmt probes per face pair, counted as the five metric planes).
+  kxx::note_fusion_views_elided(5LL * g.ny() * g.nx() *
+                                static_cast<long long>(sizeof(double)));
 }
 
 void tracer_step(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,

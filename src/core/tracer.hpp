@@ -30,10 +30,10 @@ void tracer_step(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
                  double day_of_year);
 
 /// The tracer step's horizontal diffusion: increments t_new and s_new on the
-/// interior by the flux-form diffusion (cfg.hmix) of t_cur and s_cur. The
-/// Laplacian runs as one fused, packed t+s dispatch ("trc_hdiff_pair"), or
-/// as the LDM-staged per-tracer "trc_hdiff" where kxx::stages_through_ldm();
-/// the biharmonic runs per tracer through ws.hmix_lap. Same bits every way.
+/// interior by the flux-form diffusion (cfg.hmix) of t_cur and s_cur: one
+/// fused, packed t+s dispatch ("trc_hdiff_pair") on every backend, LDM-staged
+/// on AthreadSim. The biharmonic first writes lap(t) and lap(s) into
+/// ws.hmix_lap and ws.hmix_lap_s ("trc_lap_field") and diffuses those.
 void tracer_hdiff(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
                   AdvectionWorkspace& ws);
 

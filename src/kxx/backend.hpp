@@ -62,8 +62,9 @@ Backend default_backend();
 void set_default_backend(Backend backend);
 
 /// True on the backend that stages kxx_access footprints through LDM
-/// (AthreadSim): the one predicate a model phase uses to pick its LDM-staged
-/// per-kernel form over its unstaged fused chain (same bits either way).
+/// (AthreadSim): readyc (compute_tendency_means) uses it to pick its
+/// LDM-staged per-kernel form over its unstaged fused chain (same bits
+/// either way).
 inline bool stages_through_ldm() { return default_backend() == Backend::AthreadSim; }
 
 /// Strict-mode flag for the AthreadSim backend (see InitConfig).

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -110,14 +113,17 @@ long long Config::get_int(const std::string& key) const {
 
 double Config::get_double(const std::string& key) const {
   auto v = get_string(key);
-  try {
-    size_t pos = 0;
-    double out = std::stod(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument("trailing");
-    return out;
-  } catch (const std::exception&) {
+  const char* begin = v.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double out = std::strtod(begin, &end);
+  // ERANGE also flags underflow, whose subnormal (or zero) result is a
+  // valid value; only an overflow to ±HUGE_VAL is out of range.
+  const bool overflow = errno == ERANGE && std::fabs(out) == HUGE_VAL;
+  if (v.empty() || end != begin + v.size() || overflow) {
     throw ConfigError("config key " + key + " is not a number: '" + v + "'");
   }
+  return out;
 }
 
 bool Config::get_bool(const std::string& key) const {

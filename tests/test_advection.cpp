@@ -723,73 +723,136 @@ TEST(TracerColumn, FusedPairMatchesPerTracerPasses) {
   });
 }
 
-// The tracer step's Laplacian diffusion as Serial runs it — one fused t+s
-// trc_hdiff_pair dispatch at pack widths 1, 4 and 8 — against the strict
-// AthreadSim run, whose per-tracer trc_hdiff dispatches stage through LDM,
-// byte for byte in t_new and s_new. Covered: the whole 1-rank block and both
-// blocks of a 2-rank split, ragged kmt, partial i-tails at every pack width,
-// and the closed fold seam row (every block spans the north edge).
-TEST(TracerHDiff, FusedPairMatchesStagedPerTracer) {
+/// The per-tracer horizontal diffusion the pair kernel replaced, kept as the
+/// oracle: HDiffK's scalar body (q_acc += dt_ah * div / (area * dz) at active
+/// cells, the flux-form Laplacian divergence with closed land faces and fold
+/// seam), and for the biharmonic LapFieldK's Laplacian field over interior +
+/// 1 ring first, diffused with -dt * A4.
+namespace hdiff_ref {
+double lap_div(const lc::LocalGrid& g, const lh::BlockField3D& q, long long seam, int k, int j,
+               int i) {
+  const double* dz = g.vertical().thicknesses().data();
+  auto cond_e = [&](int jj, int ii) {
+    if (k >= g.kmt(jj, ii) || k >= g.kmt(jj, ii + 1)) return 0.0;
+    return g.dy_u(jj, ii) * dz[k] / g.dx_t(jj, ii);
+  };
+  auto cond_n = [&](int jj, int ii) {
+    if (jj == seam || k >= g.kmt(jj, ii) || k >= g.kmt(jj + 1, ii)) return 0.0;
+    return g.dx_u(jj, ii) * dz[k] / g.dy_t(jj, ii);
+  };
+  return cond_e(j, i) * (q.at(k, j, i + 1) - q.at(k, j, i)) -
+         cond_e(j, i - 1) * (q.at(k, j, i) - q.at(k, j, i - 1)) +
+         cond_n(j, i) * (q.at(k, j + 1, i) - q.at(k, j, i)) -
+         cond_n(j - 1, i) * (q.at(k, j, i) - q.at(k, j - 1, i));
+}
+
+void diffuse(const lc::LocalGrid& g, const lc::ModelConfig& cfg, const lh::BlockField3D& q_cur,
+             lh::BlockField3D& q_acc) {
+  const auto& gh = g.global().h();
+  const double dx_mean = gh.dx_t(gh.ny() / 2, gh.nx() / 2);
+  const double dt = cfg.grid.dt_tracer;
+  const long long seam = g.seam_row() >= 0 ? g.seam_row() : -2;
+  const double* dz = g.vertical().thicknesses().data();
+  const lh::BlockField3D* q = &q_cur;
+  double coeff = dt * cfg.effective_diffusivity(dx_mean);
+  lh::BlockField3D lap("lap", g.extent(), g.nz());
+  if (cfg.hmix == lc::HMixScheme::Biharmonic) {
+    for (int k = 0; k < g.nz(); ++k)
+      for (int j = 1; j < g.ny_total() - 1; ++j)
+        for (int i = 1; i < g.nx_total() - 1; ++i)
+          lap.at(k, j, i) = k >= g.kmt(j, i) ? 0.0
+                                              : lap_div(g, q_cur, seam, k, j, i) /
+                                                    (g.area_t(j, i) * dz[k]);
+    q = &lap;
+    coeff = -dt * cfg.effective_biharmonic(dx_mean);
+  }
+  for (int k = 0; k < g.nz(); ++k)
+    for (int j = kH; j < kH + g.ny(); ++j)
+      for (int i = kH; i < kH + g.nx(); ++i)
+        if (k < g.kmt(j, i))
+          q_acc.at(k, j, i) += coeff * lap_div(g, *q, seam, k, j, i) / (g.area_t(j, i) * dz[k]);
+}
+}  // namespace hdiff_ref
+
+// The tracer step's horizontal diffusion — one trc_hdiff_pair dispatch for
+// t and s, after two trc_lap_field dispatches for the biharmonic — for both
+// schemes: the strict AthreadSim run (staged through LDM), the Serial run at
+// pack widths 1, 4 and 8, and the per-tracer oracle agree byte for byte in
+// t_new and s_new. Covered: the whole 1-rank block and both blocks of a
+// 2-rank split, ragged kmt, partial i-tails at every pack width, and the
+// closed fold seam row (every block spans the north edge).
+TEST(TracerHDiff, FusedPairMatchesPerTracerOracle) {
   namespace tel = licomk::telemetry;
-  const lc::ModelConfig cfg = lc::ModelConfig::testing(8);
-  ASSERT_EQ(cfg.hmix, lc::HMixScheme::Laplacian);
-  for (int px : {1, 2}) {
-    Fixture fx(8, 8, px, 1);
-    for (int rank = 0; rank < px; ++rank) {
-      lc::LocalGrid g(*fx.global, *fx.dec, rank);
-      ASSERT_GE(g.seam_row(), 0) << "px=" << px << " rank=" << rank;
-      ASSERT_NE(g.nx() % 4, 0) << "px=" << px << " rank=" << rank;
-      int kmin = g.nz(), kmax = 0;
-      for (int j = kH; j < kH + g.ny(); ++j)
-        for (int i = kH; i < kH + g.nx(); ++i)
-          if (g.kmt(j, i) > 0) {
-            kmin = std::min(kmin, g.kmt(j, i));
-            kmax = std::max(kmax, g.kmt(j, i));
-          }
-      ASSERT_LT(kmin, kmax) << "flat bottom: kmt is not ragged";
+  for (lc::HMixScheme hmix : {lc::HMixScheme::Laplacian, lc::HMixScheme::Biharmonic}) {
+    lc::ModelConfig cfg = lc::ModelConfig::testing(8);
+    cfg.hmix = hmix;
+    const char* scheme = hmix == lc::HMixScheme::Laplacian ? "laplacian" : "biharmonic";
+    for (int px : {1, 2}) {
+      Fixture fx(8, 8, px, 1);
+      for (int rank = 0; rank < px; ++rank) {
+        lc::LocalGrid g(*fx.global, *fx.dec, rank);
+        ASSERT_GE(g.seam_row(), 0) << "px=" << px << " rank=" << rank;
+        ASSERT_NE(g.nx() % 4, 0) << "px=" << px << " rank=" << rank;
+        int kmin = g.nz(), kmax = 0;
+        for (int j = kH; j < kH + g.ny(); ++j)
+          for (int i = kH; i < kH + g.nx(); ++i)
+            if (g.kmt(j, i) > 0) {
+              kmin = std::min(kmin, g.kmt(j, i));
+              kmax = std::max(kmax, g.kmt(j, i));
+            }
+        ASSERT_LT(kmin, kmax) << "flat bottom: kmt is not ragged";
 
-      lc::OceanState s(g);
-      set_tracer(g, s.t_cur, 11);
-      set_tracer(g, s.s_cur, 12);
-      set_tracer(g, s.t_new, 13);
-      set_tracer(g, s.s_new, 14);
-      const size_t bytes = s.t_new.view().size() * sizeof(double);
-      auto run = [&](lh::BlockField3D& t_out, lh::BlockField3D& s_out) {
-        lc::OceanState st(g);
-        lc::AdvectionWorkspace ws(g);
-        std::memcpy(st.t_cur.view().data(), s.t_cur.view().data(), bytes);
-        std::memcpy(st.s_cur.view().data(), s.s_cur.view().data(), bytes);
-        std::memcpy(st.t_new.view().data(), s.t_new.view().data(), bytes);
-        std::memcpy(st.s_new.view().data(), s.s_new.view().data(), bytes);
-        lc::tracer_hdiff(g, cfg, st, ws);
-        std::memcpy(t_out.view().data(), st.t_new.view().data(), bytes);
-        std::memcpy(s_out.view().data(), st.s_new.view().data(), bytes);
-      };
+        lc::OceanState s(g);
+        set_tracer(g, s.t_cur, 11);
+        set_tracer(g, s.s_cur, 12);
+        set_tracer(g, s.t_new, 13);
+        set_tracer(g, s.s_new, 14);
+        const size_t bytes = s.t_new.view().size() * sizeof(double);
+        auto run = [&](lh::BlockField3D& t_out, lh::BlockField3D& s_out) {
+          lc::OceanState st(g);
+          lc::AdvectionWorkspace ws(g);
+          std::memcpy(st.t_cur.view().data(), s.t_cur.view().data(), bytes);
+          std::memcpy(st.s_cur.view().data(), s.s_cur.view().data(), bytes);
+          std::memcpy(st.t_new.view().data(), s.t_new.view().data(), bytes);
+          std::memcpy(st.s_new.view().data(), s.s_new.view().data(), bytes);
+          lc::tracer_hdiff(g, cfg, st, ws);
+          std::memcpy(t_out.view().data(), st.t_new.view().data(), bytes);
+          std::memcpy(s_out.view().data(), st.s_new.view().data(), bytes);
+        };
 
-      lh::BlockField3D t_ref("t_ref", g.extent(), g.nz());
-      lh::BlockField3D s_ref("s_ref", g.extent(), g.nz());
-      kxx::initialize({kxx::Backend::AthreadSim, 1, /*athread_strict=*/true});
-      tel::set_enabled(true);
-      tel::reset();
-      run(t_ref, s_ref);
-      // The staged per-tracer form ran, not the fused pair.
-      EXPECT_GT(tel::span_counter_value("trc_hdiff", "dma.transfers"), 0u);
-      EXPECT_EQ(tel::span_counter_value("trc_hdiff_pair", "dma.transfers"), 0u);
-      tel::reset();
-      tel::set_enabled(false);
+        lh::BlockField3D t_ref("t_ref", g.extent(), g.nz());
+        lh::BlockField3D s_ref("s_ref", g.extent(), g.nz());
+        std::memcpy(t_ref.view().data(), s.t_new.view().data(), bytes);
+        std::memcpy(s_ref.view().data(), s.s_new.view().data(), bytes);
+        hdiff_ref::diffuse(g, cfg, s.t_cur, t_ref);
+        hdiff_ref::diffuse(g, cfg, s.s_cur, s_ref);
 
-      kxx::initialize({kxx::Backend::Serial, 1, false});
-      for (int pack : {1, 4, 8}) {
-        kxx::set_pack_size(pack);
         lh::BlockField3D t_out("t_out", g.extent(), g.nz());
         lh::BlockField3D s_out("s_out", g.extent(), g.nz());
+        kxx::initialize({kxx::Backend::AthreadSim, 1, /*athread_strict=*/true});
+        tel::set_enabled(true);
+        tel::reset();
         run(t_out, s_out);
+        EXPECT_GT(tel::span_counter_value("trc_hdiff_pair", "dma.transfers"), 0u) << scheme;
+        EXPECT_EQ(0u, tel::counter_value("kxx.ldm_stage_fallbacks")) << scheme;
+        tel::reset();
+        tel::set_enabled(false);
         EXPECT_EQ(0, std::memcmp(t_out.view().data(), t_ref.view().data(), bytes))
-            << "t px=" << px << " rank=" << rank << " pack=" << pack;
+            << "t " << scheme << " px=" << px << " rank=" << rank << " athread";
         EXPECT_EQ(0, std::memcmp(s_out.view().data(), s_ref.view().data(), bytes))
-            << "s px=" << px << " rank=" << rank << " pack=" << pack;
+            << "s " << scheme << " px=" << px << " rank=" << rank << " athread";
+
+        kxx::initialize({kxx::Backend::Serial, 1, false});
+        for (int pack : {1, 4, 8}) {
+          kxx::set_pack_size(pack);
+          run(t_out, s_out);
+          EXPECT_EQ(0, std::memcmp(t_out.view().data(), t_ref.view().data(), bytes))
+              << "t " << scheme << " px=" << px << " rank=" << rank << " pack=" << pack;
+          EXPECT_EQ(0, std::memcmp(s_out.view().data(), s_ref.view().data(), bytes))
+              << "s " << scheme << " px=" << px << " rank=" << rank << " pack=" << pack;
+        }
+        kxx::set_pack_size(LICOMK_PACK_SIZE);
       }
-      kxx::set_pack_size(LICOMK_PACK_SIZE);
     }
   }
 }

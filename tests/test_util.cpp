@@ -47,6 +47,20 @@ TEST(Config, MalformedValuesThrow) {
   EXPECT_THROW(cfg.get_int("c"), licomk::ConfigError);
 }
 
+TEST(Config, DoublesAcceptSubnormalsAndRejectOverflow) {
+  auto cfg = lu::Config::from_string(
+      "tiny = 1e-320\nmin = -4.9e-324\nhuge = 1e400\ntrail = 1e-320x");
+  const double tiny = cfg.get_double("tiny");
+  EXPECT_EQ(tiny, 1e-320);
+  EXPECT_EQ(std::fpclassify(tiny), FP_SUBNORMAL);
+  EXPECT_EQ(cfg.get_double("min"), -std::numeric_limits<double>::denorm_min());
+  EXPECT_THROW(cfg.get_double("huge"), licomk::ConfigError);
+  EXPECT_THROW(cfg.get_double("trail"), licomk::ConfigError);
+  lu::Config blank;
+  blank.set("x", "");
+  EXPECT_THROW(blank.get_double("x"), licomk::ConfigError);
+}
+
 TEST(Config, MalformedLinesThrow) {
   EXPECT_THROW(lu::Config::from_string("key_without_value"), licomk::ConfigError);
   EXPECT_THROW(lu::Config::from_string("[unterminated"), licomk::ConfigError);
